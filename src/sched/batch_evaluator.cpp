@@ -1,6 +1,6 @@
 #include "sched/batch_evaluator.hpp"
 
-#include <unordered_map>
+#include <optional>
 #include <utility>
 
 #include "obs/recorder.hpp"
@@ -12,69 +12,24 @@ namespace wfe::sched {
 
 namespace {
 
-void add_cost(Fnv1a& h, const md::MdCostParams& c) {
-  h.add(c.instr_per_atom_step);
-  h.add(c.base_ipc);
-  h.add(c.llc_refs_per_instr);
-  h.add(c.base_miss_ratio);
-  h.add(c.bytes_per_atom);
-  h.add(c.parallel_fraction);
-  h.add(c.cache_sensitivity);
-}
-
-void add_cost(Fnv1a& h, const ana::AnalysisCostParams& c) {
-  h.add(c.instr_per_element_sweep);
-  h.add(c.power_iterations);
-  h.add(c.subsample_stride);
-  h.add(c.base_ipc);
-  h.add(c.llc_refs_per_instr);
-  h.add(c.base_miss_ratio);
-  h.add(c.fixed_working_set_bytes);
-  h.add(c.max_cache_footprint_bytes);
-  h.add(c.parallel_fraction);
-  h.add(c.cache_sensitivity);
-}
-
-/// Memo key: (canonical placement, probe steps, platform fingerprint) plus
-/// a digest of the demand itself (core counts, workload scale, cost-model
-/// constants) so one evaluator can serve different shapes safely. The
-/// spec's name and n_steps are deliberately excluded — probes override the
-/// step count, and names only label placements. Node ids are relabeled in
-/// first-appearance order: on the modelled homogeneous pool, placements
-/// differing only by node naming replay identically.
-std::uint64_t memo_key(const rt::EnsembleSpec& spec,
-                       std::uint64_t probe_steps,
-                       std::uint64_t platform_fp,
-                       std::uint64_t scenario_fp) {
-  Fnv1a h;
-  h.add(platform_fp);
-  h.add(scenario_fp);
-  h.add(probe_steps);
-  std::unordered_map<int, int> relabel;
-  const auto canon_node = [&](int node) {
-    const auto [it, _] =
-        relabel.emplace(node, static_cast<int>(relabel.size()));
-    return it->second;
-  };
-  h.add(spec.members.size());
-  for (const rt::MemberSpec& m : spec.members) {
-    h.add(m.buffer_capacity);
-    h.add(m.sim.cores);
-    h.add(m.sim.natoms);
-    h.add(m.sim.stride);
-    add_cost(h, m.sim.cost);
-    h.add(m.sim.nodes.size());
-    for (int node : m.sim.nodes) h.add(canon_node(node));
-    h.add(m.analyses.size());
-    for (const rt::AnalysisSpec& a : m.analyses) {
-      h.add(a.cores);
-      h.add(std::string_view(a.kernel));
-      add_cost(h, a.cost);
-      h.add(a.nodes.size());
-      for (int node : a.nodes) h.add(canon_node(node));
-    }
+/// Validate, then replay under `seed` (the scenario's own seed when null).
+/// Infeasible placements are marked, not run.
+void replay_spec(const rt::EnsembleSpec& spec, const Evaluator& ev,
+                 std::uint64_t probe_steps, const std::uint64_t* seed,
+                 BatchScore& score) {
+  score.feasible = true;
+  try {
+    spec.validate(ev.platform());
+  } catch (const SpecError&) {
+    score.feasible = false;
+    return;
   }
-  return h.digest();
+  score.eval = seed == nullptr ? ev.score(spec, probe_steps)
+                               : ev.score_seeded(spec, probe_steps, *seed);
+}
+
+BatchScore served(const CachedEval& entry) {
+  return {entry.feasible, true, entry.eval};
 }
 
 }  // namespace
@@ -84,10 +39,11 @@ BatchEvaluator::BatchEvaluator(plat::PlatformSpec platform, int threads)
 
 BatchEvaluator::BatchEvaluator(plat::PlatformSpec platform,
                                rt::SimulatedOptions scenario, int threads)
-    : pool_(threads) {
+    : pool_(threads), keys_(platform.node_count) {
   platform.validate();
   platform_fp_ = platform.fingerprint();
   scenario_fp_ = scenario_fingerprint(scenario);
+  model_fp_ = model_digest();
   evaluators_.reserve(static_cast<std::size_t>(threads));
   for (int w = 0; w < threads; ++w) {
     evaluators_.emplace_back(platform, scenario);
@@ -95,9 +51,7 @@ BatchEvaluator::BatchEvaluator(plat::PlatformSpec platform,
 }
 
 std::vector<BatchScore> BatchEvaluator::score_keyed(
-    const std::vector<std::uint64_t>& keys,
-    const std::vector<const rt::EnsembleSpec*>& specs,
-    std::uint64_t probe_steps, const std::vector<std::uint64_t>* seeds) {
+    const std::vector<std::uint64_t>& keys, const Replay& replay) {
   const std::size_t n = keys.size();
   std::vector<BatchScore> out(n);
   const bool traced = obs::enabled();
@@ -105,68 +59,80 @@ std::vector<BatchScore> BatchEvaluator::score_keyed(
   const std::size_t hits_before = cache_hits_;
   const std::size_t shared_before = shared_hits_;
 
-  // Sequential phase 1: resolve cache hits and within-batch duplicates;
-  // collect the unique misses to simulate.
-  std::vector<std::size_t> miss;       // batch indices to simulate
+  // Sequential phase 1: serve local memo hits and fold within-batch
+  // duplicates onto their first occurrence; collect the unique rest.
+  std::vector<std::size_t> unique;     // batch indices the memo lacks
   std::vector<std::size_t> dup_of(n);  // same-batch duplicate -> first index
-  std::unordered_map<std::uint64_t, std::size_t> inflight;
-  CachedEval shared_entry;
+  KeyTable<std::size_t> inflight;
   for (std::size_t i = 0; i < n; ++i) {
     dup_of[i] = i;
-    if (const auto it = cache_.find(keys[i]); it != cache_.end()) {
-      out[i] = it->second;
-      out[i].cached = true;
+    if (const CachedEval* hit = cache_.find(keys[i])) {
+      out[i] = served(*hit);
       ++cache_hits_;
-    } else if (shared_ && shared_->lookup(keys[i], &shared_entry)) {
-      // Second tier: scored by another evaluator (possibly another
-      // process, via EvalCache::load). Promote into the local memo so
-      // later batches skip the lock.
-      out[i] = {shared_entry.feasible, true, shared_entry.eval};
-      cache_.emplace(keys[i], BatchScore{shared_entry.feasible, false,
-                                         shared_entry.eval});
-      ++cache_hits_;
-      ++shared_hits_;
-    } else if (const auto in = inflight.find(keys[i]);
-               in != inflight.end()) {
-      dup_of[i] = in->second;
+    } else if (const std::size_t* first = inflight.find(keys[i])) {
+      dup_of[i] = *first;
       ++cache_hits_;
     } else {
-      inflight.emplace(keys[i], i);
+      inflight.try_insert(keys[i], i);
+      unique.push_back(i);
+    }
+  }
+
+  // Phase 2: the shared tier (scored by another evaluator, possibly another
+  // process via EvalCache::load), one lock for the whole lookup pass. Hits
+  // are promoted into the local memo so later batches skip the lock.
+  std::vector<std::optional<CachedEval>> shared_found;
+  if (shared_ != nullptr && !unique.empty()) {
+    std::vector<std::uint64_t> unique_keys;
+    unique_keys.reserve(unique.size());
+    for (const std::size_t i : unique) unique_keys.push_back(keys[i]);
+    shared_found = shared_->lookup(unique_keys);
+  }
+  std::vector<std::size_t> miss;  // batch indices to simulate
+  for (std::size_t j = 0; j < unique.size(); ++j) {
+    const std::size_t i = unique[j];
+    if (!shared_found.empty() && shared_found[j]) {
+      out[i] = served(*shared_found[j]);
+      cache_.try_insert(keys[i], *shared_found[j]);
+      ++cache_hits_;
+      ++shared_hits_;
+    } else {
       miss.push_back(i);
     }
   }
 
   // Parallel phase: each worker replays with its own evaluator and writes
-  // only its claimed indices' slots. Infeasible specs are marked, not run.
-  pool_.for_each_index(miss.size(), [&](std::size_t j, int worker) {
+  // only its claimed indices' slots. A lone miss (most of bai-search's
+  // rounds) replays on the calling thread as worker 0: waking the pool for
+  // it would add a barrier crossing and no parallelism.
+  const auto run = [&](std::size_t j, int worker) {
     const std::size_t i = miss[j];
-    BatchScore& score = out[i];
     const double w0 = traced ? obs::now_s() : 0.0;
-    score.feasible = true;
-    try {
-      specs[i]->validate(evaluators_[static_cast<std::size_t>(worker)]
-                             .platform());
-    } catch (const SpecError&) {
-      score.feasible = false;  // infeasible placements are marked, not run
-    }
-    if (score.feasible) {
-      Evaluator& ev = evaluators_[static_cast<std::size_t>(worker)];
-      score.eval = seeds == nullptr
-                       ? ev.score(*specs[i], probe_steps)
-                       : ev.score_seeded(*specs[i], probe_steps, (*seeds)[i]);
-    }
+    replay(i, evaluators_[static_cast<std::size_t>(worker)], out[i]);
     if (traced) {
       const double w1 = obs::now_s();
       obs::span(strprintf("sched/w%d", worker), "evaluate", w0, w1);
       obs::add_counter(strprintf("sched.w%d.busy_s", worker), w1, w1 - w0);
     }
-  });
-
-  // Sequential phase 2: memoize fresh scores, then resolve duplicates.
-  for (const std::size_t i : miss) {
-    cache_.emplace(keys[i], out[i]);
-    if (shared_) shared_->insert(keys[i], {out[i].feasible, out[i].eval});
+  };
+  if (miss.size() == 1) {
+    run(0, 0);
+  } else {
+    pool_.for_each_index(miss.size(), run);
   }
+
+  // Sequential phase 3: memoize fresh scores, publish them to the shared
+  // tier in one pass, then resolve duplicates.
+  std::vector<std::uint64_t> fresh_keys;
+  std::vector<CachedEval> fresh;
+  fresh_keys.reserve(miss.size());
+  fresh.reserve(miss.size());
+  for (const std::size_t i : miss) {
+    fresh_keys.push_back(keys[i]);
+    fresh.push_back({out[i].feasible, out[i].eval});
+    cache_.try_insert(keys[i], fresh.back());
+  }
+  if (shared_ != nullptr && !miss.empty()) shared_->insert(fresh_keys, fresh);
   for (std::size_t i = 0; i < n; ++i) {
     if (dup_of[i] != i) {
       out[i] = out[dup_of[i]];
@@ -190,67 +156,67 @@ std::vector<BatchScore> BatchEvaluator::score_keyed(
 std::vector<BatchScore> BatchEvaluator::score_assignments(
     const EnsembleShape& shape, const std::vector<Assignment>& assignments,
     std::uint64_t probe_steps) {
-  std::vector<rt::EnsembleSpec> specs;
-  specs.reserve(assignments.size());
+  const std::size_t slots = slot_count(shape);
+  const std::uint64_t plan = prefix(demand_digest(shape), probe_steps);
   std::vector<std::uint64_t> keys;
   keys.reserve(assignments.size());
-  std::vector<const rt::EnsembleSpec*> spec_ptrs;
-  spec_ptrs.reserve(assignments.size());
   for (const Assignment& a : assignments) {
-    specs.push_back(place(shape, a));
-    keys.push_back(
-        memo_key(specs.back(), probe_steps, platform_fp_, scenario_fp_));
+    WFE_REQUIRE(a.size() == slots,
+                "assignment must hold one node per component");
+    keys.push_back(keys_.of(plan, a));
   }
-  for (const rt::EnsembleSpec& s : specs) spec_ptrs.push_back(&s);
-  return score_keyed(keys, spec_ptrs, probe_steps);
+  return score_keyed(keys, [&](std::size_t i, const Evaluator& ev,
+                               BatchScore& score) {
+    replay_spec(place(shape, assignments[i]), ev, probe_steps, nullptr,
+                score);
+  });
 }
 
 std::vector<BatchScore> BatchEvaluator::score_specs(
     const std::vector<rt::EnsembleSpec>& specs, std::uint64_t probe_steps) {
   std::vector<std::uint64_t> keys;
   keys.reserve(specs.size());
-  std::vector<const rt::EnsembleSpec*> spec_ptrs;
-  spec_ptrs.reserve(specs.size());
   for (const rt::EnsembleSpec& s : specs) {
-    keys.push_back(memo_key(s, probe_steps, platform_fp_, scenario_fp_));
-    spec_ptrs.push_back(&s);
+    keys.push_back(keys_.of(prefix(demand_digest(s), probe_steps), s));
   }
-  return score_keyed(keys, spec_ptrs, probe_steps);
+  return score_keyed(keys, [&](std::size_t i, const Evaluator& ev,
+                               BatchScore& score) {
+    replay_spec(specs[i], ev, probe_steps, nullptr, score);
+  });
+}
+
+std::uint64_t BatchEvaluator::sample_seed(const EnsembleShape& shape,
+                                          const Assignment& assignment,
+                                          std::uint64_t index,
+                                          std::uint64_t probe_steps) {
+  return Fnv1a::mix(keys_.sample_identity(shape, assignment, probe_steps,
+                                          platform_fp_, scenario_fp_),
+                    index);
 }
 
 std::vector<BatchScore> BatchEvaluator::score_arm_samples(
     const EnsembleShape& shape, const std::vector<Assignment>& arms,
     const std::vector<ArmSample>& samples, std::uint64_t probe_steps) {
-  // Build each referenced arm's spec and base digest once. The base digest
-  // is the ordinary memo key (platform + scenario + probe depth +
-  // canonical placement + demand); sample seeds and sample keys both
-  // derive from it, which is what makes a sample a value: the same
-  // (candidate, index) names the same replay everywhere.
-  std::vector<rt::EnsembleSpec> specs(arms.size());
-  std::vector<std::uint64_t> base_keys(arms.size(), 0);
-  std::vector<bool> built(arms.size(), false);
-  for (const ArmSample& s : samples) {
-    WFE_REQUIRE(s.arm < arms.size(), "sample references an unknown arm");
-    if (built[s.arm]) continue;
-    specs[s.arm] = place(shape, arms[s.arm]);
-    base_keys[s.arm] =
-        memo_key(specs[s.arm], probe_steps, platform_fp_, scenario_fp_);
-    built[s.arm] = true;
-  }
-
+  // A sample is a value: its seed derives from the arm's identity and the
+  // sample index, and its key folds that seed into the arm's evaluation
+  // key — so the same (candidate, index) names the same replay everywhere.
+  const std::uint64_t plan = prefix(demand_digest(shape), probe_steps);
   std::vector<std::uint64_t> keys;
   keys.reserve(samples.size());
   std::vector<std::uint64_t> seeds;
   seeds.reserve(samples.size());
-  std::vector<const rt::EnsembleSpec*> spec_ptrs;
-  spec_ptrs.reserve(samples.size());
   for (const ArmSample& s : samples) {
-    const std::uint64_t seed = Fnv1a::mix(base_keys[s.arm], s.index);
+    WFE_REQUIRE(s.arm < arms.size(), "sample references an unknown arm");
+    const Assignment& arm = arms[s.arm];
+    const std::uint64_t seed = sample_seed(shape, arm, s.index, probe_steps);
     seeds.push_back(seed);
-    keys.push_back(Fnv1a::mix(base_keys[s.arm], seed));
-    spec_ptrs.push_back(&specs[s.arm]);
+    keys.push_back(Fnv1a::mix(keys_.of(plan, arm), seed));
   }
-  return score_keyed(keys, spec_ptrs, probe_steps, &seeds);
+  return score_keyed(keys, [&](std::size_t i, const Evaluator& ev,
+                               BatchScore& score) {
+    replay_spec(place(shape, arms[samples[i].arm]), ev, probe_steps,
+                &seeds[i], score);
+  });
 }
 
 std::vector<BatchScore> BatchEvaluator::score_assignments_mean(

@@ -4,25 +4,31 @@
 // (via wfe::exec::ThreadPool) and returns the scores in candidate order, so
 // callers can reduce deterministically (see candidates.hpp::pick_winner).
 //
-// An evaluation memo-cache keyed on (canonical placement, probe steps,
-// platform fingerprint, demand fingerprint) ensures a placement is never
-// re-simulated once scored: exhaustive enumeration, greedy refinement
-// rounds, and repeated bench sweeps all hit the cache instead. Cache
-// lookups and inserts happen only on the calling thread, before and after
-// the parallel section — workers touch nothing but their own evaluator and
-// their own result slots, which keeps the whole layer race-free and the
-// results bit-identical for any thread count.
+// An evaluation memo-cache ensures a placement is never re-simulated once
+// scored: exhaustive enumeration, greedy refinement rounds, and repeated
+// bench sweeps all hit the cache instead. Each call computes one key prefix
+// (platform, scenario, probe depth, demand and model digests) and keys each
+// candidate by its canonical node list under it (eval_key.hpp); a spec is
+// built only for a miss that actually replays, inside the worker that
+// replays it. Cache lookups and inserts happen only on the calling thread,
+// before and after the parallel section — the shared tier is locked once
+// for a batch's lookups and once for its publishes — and workers touch
+// nothing but their own evaluator and their own result slots, which keeps
+// the whole layer race-free and the results bit-identical for any thread
+// count.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <functional>
 #include <vector>
 
 #include "exec/thread_pool.hpp"
 #include "platform/spec.hpp"
 #include "sched/candidates.hpp"
 #include "sched/eval_cache.hpp"
+#include "sched/eval_key.hpp"
 #include "sched/evaluator.hpp"
+#include "sched/key_table.hpp"
 
 namespace wfe::sched {
 
@@ -56,16 +62,16 @@ class BatchEvaluator {
       std::uint64_t probe_steps = 6);
 
   /// Score pre-built specs (the enumeration benches). Memoization keys on
-  /// the spec's canonicalized placement and content, not its name.
+  /// the spec's canonicalized placement and demand, not its name — the
+  /// same key score_assignments() gives the assignment placing it.
   std::vector<BatchScore> score_specs(
       const std::vector<rt::EnsembleSpec>& specs,
       std::uint64_t probe_steps = 6);
 
   /// One seeded sample of one arm: sample `index` of candidate
-  /// `arms[arm]`. The replay seed is derived from the arm's FNV-1a memo
-  /// digest and the index, so a sample is identified by value — bit-stable
-  /// across runs, thread counts, and processes (the shared cache tier
-  /// serves it on a warm rerun).
+  /// `arms[arm]`. The replay seed is sample_seed(), so a sample is
+  /// identified by value — bit-stable across runs, thread counts, and
+  /// processes (the shared cache tier serves it on a warm rerun).
   struct ArmSample {
     std::size_t arm = 0;
     std::uint64_t index = 0;
@@ -76,10 +82,19 @@ class BatchEvaluator {
   /// key folds that seed in, so distinct samples never alias and repeated
   /// samples (across rounds or processes) are never re-simulated. On a
   /// deterministic scenario every sample of an arm scores identically to
-  /// score_assignments() on that arm — only the cache keys differ.
+  /// score_assignments() on that arm — only the cache keys differ. Only
+  /// the referenced arms are keyed, and only the misses are placed.
   std::vector<BatchScore> score_arm_samples(
       const EnsembleShape& shape, const std::vector<Assignment>& arms,
       const std::vector<ArmSample>& samples, std::uint64_t probe_steps = 6);
+
+  /// The replay seed of sample `index` of `assignment`:
+  /// Fnv1a::mix(PlacementKeys::sample_identity(...), index). Derived from
+  /// the placement, the demand, the platform, the scenario and the probe
+  /// depth — never from the model digest or the cache format.
+  std::uint64_t sample_seed(const EnsembleShape& shape,
+                            const Assignment& assignment, std::uint64_t index,
+                            std::uint64_t probe_steps = 6);
 
   /// Fixed-budget sampling: `samples` seeded draws per assignment (indices
   /// 0..samples-1), averaged into one BatchScore per assignment (mean
@@ -118,21 +133,28 @@ class BatchEvaluator {
   }
 
  private:
-  /// Convert candidate i of the batch into a spec to replay. Infeasible
-  /// candidates throw wfe::SpecError from validate(). `seeds`, when
-  /// non-null, gives each index a replay-seed override (the seeded-sample
-  /// path); null replays under the scenario's base seed.
-  std::vector<BatchScore> score_keyed(
-      const std::vector<std::uint64_t>& keys,
-      const std::vector<const rt::EnsembleSpec*>& specs,
-      std::uint64_t probe_steps,
-      const std::vector<std::uint64_t>* seeds = nullptr);
+  /// Replays batch index i with a worker's evaluator into its score slot.
+  using Replay =
+      std::function<void(std::size_t i, const Evaluator& ev, BatchScore&)>;
+
+  /// Serve what the memo tiers hold, replay the rest (within-batch
+  /// duplicates once) through `replay`, publish the fresh scores.
+  std::vector<BatchScore> score_keyed(const std::vector<std::uint64_t>& keys,
+                                      const Replay& replay);
+
+  /// The key prefix of one call: everything its candidates share.
+  std::uint64_t prefix(std::uint64_t demand, std::uint64_t probe_steps) const {
+    return key_prefix(platform_fp_, scenario_fp_, probe_steps, demand,
+                      model_fp_);
+  }
 
   exec::ThreadPool pool_;
   std::vector<Evaluator> evaluators_;  // one per worker, index = worker id
   std::uint64_t platform_fp_ = 0;
   std::uint64_t scenario_fp_ = 0;
-  std::unordered_map<std::uint64_t, BatchScore> cache_;
+  std::uint64_t model_fp_ = 0;
+  PlacementKeys keys_;
+  KeyTable<CachedEval> cache_;  // local memo tier
   std::size_t cache_hits_ = 0;
   std::size_t shared_hits_ = 0;
   EvalCache* shared_ = nullptr;  // optional second tier; not owned

@@ -1,23 +1,10 @@
 #include "sched/candidates.hpp"
 
-#include <unordered_set>
+#include <algorithm>
 
 #include "support/error.hpp"
-#include "support/hash.hpp"
 
 namespace wfe::sched {
-
-namespace {
-
-struct AssignmentHash {
-  std::size_t operator()(const Assignment& a) const {
-    Fnv1a h;
-    for (int v : a) h.add(v);
-    return static_cast<std::size_t>(h.digest());
-  }
-};
-
-}  // namespace
 
 std::size_t slot_count(const EnsembleShape& shape) {
   std::size_t slots = 0;
@@ -45,22 +32,25 @@ std::vector<Assignment> enumerate_assignments(std::size_t slots,
                                               int node_pool) {
   WFE_REQUIRE(slots >= 1, "need at least one slot");
   WFE_REQUIRE(node_pool >= 1, "need at least one node in the pool");
+  // The canonical forms are exactly the restricted growth strings with
+  // labels below node_pool: a[0] = 0 and a[i] <= 1 + max(a[0..i-1]). Bumping
+  // the rightmost position that may grow and zeroing the tail visits them
+  // in lexicographic order (Knuth, TAOCP 4A, 7.2.1.5), one string per step.
+  const int top = node_pool - 1;
+  Assignment a(slots, 0);
+  std::vector<int> prefix_max(slots, 0);  // prefix_max[i] = max(a[0..i])
   std::vector<Assignment> out;
-  std::unordered_set<Assignment, AssignmentHash> seen;
-  Assignment assignment(slots, 0);
   for (;;) {
-    Assignment canon = canonical(assignment, node_pool);
-    if (seen.insert(canon).second) out.push_back(std::move(canon));
-    // Odometer increment: last slot fastest, i.e. lexicographic order. The
-    // canonical form of a class is its lexicographically smallest member,
-    // so classes are discovered in lex order of their canonical forms.
-    std::size_t pos = slots;
-    while (pos > 0) {
-      if (++assignment[pos - 1] < node_pool) break;
-      assignment[pos - 1] = 0;
-      --pos;
+    out.push_back(a);
+    std::size_t j = slots - 1;
+    while (j > 0 && (a[j] > prefix_max[j - 1] || a[j] == top)) --j;
+    if (j == 0) break;
+    ++a[j];
+    prefix_max[j] = std::max(prefix_max[j - 1], a[j]);
+    for (std::size_t k = j + 1; k < slots; ++k) {
+      a[k] = 0;
+      prefix_max[k] = prefix_max[j];
     }
-    if (pos == 0) break;
   }
   return out;
 }

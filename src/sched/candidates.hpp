@@ -27,12 +27,15 @@ std::size_t slot_count(const EnsembleShape& shape);
 /// Relabel nodes in first-appearance order (placements differing only by
 /// node naming are equivalent on a homogeneous pool). `node_pool` bounds
 /// the node values; the relabel table is a flat array of that size, not a
-/// map — this runs once per odometer tick and dominates small searches.
+/// map — this runs once per local move (neighbor_assignments).
 Assignment canonical(const Assignment& assignment, int node_pool);
 
 /// Every canonically distinct assignment of `slots` components to nodes
 /// 0..node_pool-1, in lexicographic order of the canonical form. This is
-/// the exhaustive search space (exponential: capped by callers).
+/// the exhaustive search space (exponential: capped by callers). The
+/// canonical forms are generated directly, one per step, so the cost is
+/// proportional to their count — sum over k <= node_pool of the Stirling
+/// numbers S(slots, k) — not to node_pool^slots.
 std::vector<Assignment> enumerate_assignments(std::size_t slots,
                                               int node_pool);
 

@@ -1,33 +1,43 @@
 // EvalCache: a process-wide, optionally disk-persisted store of placement
 // evaluations.
 //
-// BatchEvaluator's memo-cache (PR 2) deduplicates within one evaluator's
+// BatchEvaluator's memo-cache deduplicates within one evaluator's
 // lifetime. Campaign runs build many evaluators — one per figure/table
 // unit — and re-score overlapping (platform, placement, demand) probes
 // across units and across repeated campaign regenerations. EvalCache is
-// the shared tier behind those local memos: keys are the same FNV-1a
-// digests (platform fingerprint + probe steps + canonical placement +
-// demand digest, see batch_evaluator.cpp::memo_key), values are the
-// Evaluation plus the feasibility verdict.
+// the shared tier behind those local memos: keys are the same evaluation
+// keys (per-plan prefix of platform, scenario, probe depth, demand and
+// model digests, then the canonical placement; see eval_key.hpp), values
+// are the Evaluation plus the feasibility verdict.
 //
-// Persistence is a line-oriented text format ("wfens-eval-cache 1"), one
+// Storage is a flat KeyTable (key_table.hpp). BatchEvaluator reads and
+// writes it in bulk — one lock acquisition for a batch's lookups, one for
+// its publishes — and load() parses a whole file before taking the lock
+// once to merge it.
+//
+// Persistence is a line-oriented text format ("wfens-eval-cache 2"), one
 // entry per line, written sorted by key via tmp+rename so concurrent
 // writers cannot tear the file and repeated saves of equal content are
-// byte-identical. Doubles round-trip through %.17g, so a reloaded entry
-// reproduces the in-memory score bit-for-bit. Invalidation is automatic:
-// any change to the platform, the cost-model constants, or the probe depth
-// changes the key, so stale entries are simply never looked up again (and
-// can be dropped by deleting the file).
+// byte-identical. Doubles round-trip through hex floats, so a reloaded
+// entry reproduces the in-memory score bit-for-bit. Invalidation is
+// automatic: any change to the platform, the demand's cost constants, the
+// probe depth or the replay model (the model digest) changes the key, so
+// stale entries are simply never looked up again. A file of an older
+// format version is stale as a whole: it loads as empty and the next
+// save() overwrites it.
 //
 // Thread safety: all operations take one leaf-ranked mutex
 // (support::kRankEvalCache); callers never hold it while simulating.
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <optional>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "sched/evaluator.hpp"
+#include "sched/key_table.hpp"
 #include "support/lock_rank.hpp"
 
 namespace wfe::sched {
@@ -49,16 +59,28 @@ class EvalCache {
   /// Look up `key`; copies the entry into `*out` and returns true on a hit.
   bool lookup(std::uint64_t key, CachedEval* out) const;
 
+  /// Look up every key under one lock acquisition: element i holds
+  /// keys[i]'s entry, or nothing on a miss.
+  std::vector<std::optional<CachedEval>> lookup(
+      std::span<const std::uint64_t> keys) const;
+
   /// Insert (or overwrite) an entry.
   void insert(std::uint64_t key, const CachedEval& value);
 
+  /// Insert (or overwrite) keys[i] -> values[i] for every i, under one lock
+  /// acquisition.
+  void insert(std::span<const std::uint64_t> keys,
+              std::span<const CachedEval> values);
+
   std::size_t size() const;
-  /// Hits served since construction (lookup() returning true).
+  /// Hits served since construction (lookups that found their key).
   std::size_t hits() const;
 
   /// Merge entries from a cache file into memory. Returns the number of
-  /// entries read; a missing file is an empty cache (returns 0). Throws
-  /// wfe::SerializationError on a malformed or wrong-version file.
+  /// entries read; a missing file is an empty cache, and so is a file of
+  /// an older format version (stale, returns 0). Throws
+  /// wfe::SerializationError on a foreign, newer-version or malformed file,
+  /// merging nothing.
   std::size_t load(const std::string& path);
 
   /// Write every entry to `path` (sorted by key, tmp+rename). Returns the
@@ -76,9 +98,7 @@ class EvalCache {
   using Mutex = support::RankedMutex<support::kRankEvalCache>;
 
   mutable Mutex mutex_;
-  // std::map: iteration is key-sorted, which save() relies on for
-  // deterministic bytes.
-  std::map<std::uint64_t, CachedEval> entries_;
+  KeyTable<CachedEval> entries_;  // insertion order; save() sorts a copy
   mutable std::size_t hits_ = 0;
 };
 

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <map>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -37,6 +38,12 @@ constexpr SweepCase kCases[] = {
     {"C2.3", 0.0},
     {"Cc", 0.05},
 };
+
+// Without this gtest prints the raw bytes of SweepCase — including the
+// `config` pointer — so discovered ctest names would change per build.
+void PrintTo(const SweepCase& c, std::ostream* os) {
+  *os << c.config << " p=" << c.stage_error_prob;
+}
 
 struct TracedRun {
   rt::ExecutionResult result;

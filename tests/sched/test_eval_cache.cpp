@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -145,11 +148,104 @@ TEST_F(EvalCacheFiles, RejectsForeignAndMalformedFiles) {
   }
   {
     std::ofstream out(path("torn"));
-    out << "wfens-eval-cache 1\ndeadbeef 1\n";  // truncated line
+    out << "wfens-eval-cache 2\ndeadbeef 1\n";  // truncated line
+  }
+  {
+    std::ofstream out(path("newer"));
+    out << "wfens-eval-cache 3\n";  // a format this build cannot read
   }
   EvalCache cache;
   EXPECT_THROW(cache.load(path("foreign")), SerializationError);
   EXPECT_THROW(cache.load(path("torn")), SerializationError);
+  EXPECT_THROW(cache.load(path("newer")), SerializationError);
+  EXPECT_EQ(cache.size(), 0u);
+}
+
+TEST_F(EvalCacheFiles, TornFileMergesNothing) {
+  {
+    std::ofstream out(path("torn"));
+    out << "wfens-eval-cache 2\n"
+        << "0000000000000001 1 0x1p+0 0x1p+1 0x1p-1 2\n"
+        << "0000000000000002 1 0x1p+0\n";
+  }
+  EvalCache cache;
+  EXPECT_THROW(cache.load(path("torn")), SerializationError);
+  EXPECT_EQ(cache.size(), 0u);
+}
+
+TEST_F(EvalCacheFiles, OlderVersionIsStaleNotCorrupt) {
+  // A format-1 file (keys without the model digest) from before the
+  // re-key: it loads as empty instead of throwing, and the next save
+  // replaces it with the current format.
+  {
+    std::ofstream out(path("v1"));
+    out << "wfens-eval-cache 1\n"
+        << "00000000000004d2 1 0x1.999999999999ap-4 0x1.5p+1 0x1p-1 3\n";
+  }
+  EvalCache cache;
+  EXPECT_EQ(cache.load(path("v1")), 0u);
+  EXPECT_EQ(cache.size(), 0u);
+  cache.insert(1, sample(0.5));
+  EXPECT_EQ(cache.save(path("v1")), 1u);
+  EvalCache reloaded;
+  EXPECT_EQ(reloaded.load(path("v1")), 1u);
+  std::ifstream in(path("v1"));
+  std::string header;
+  std::getline(in, header);
+  EXPECT_EQ(header, "wfens-eval-cache 2");
+}
+
+TEST_F(EvalCacheFiles, SpecialValuesRoundTripBitExactly) {
+  const double values[] = {-0.0, -1.5, 1e-310, -1e300, HUGE_VAL, -HUGE_VAL};
+  EvalCache cache;
+  for (std::size_t i = 0; i < std::size(values); ++i) {
+    CachedEval e = sample(values[i]);
+    e.eval.nodes_used = -static_cast<int>(i);
+    cache.insert(i, e);
+  }
+  cache.save(path("c"));
+  EvalCache loaded;
+  ASSERT_EQ(loaded.load(path("c")), std::size(values));
+  for (std::size_t i = 0; i < std::size(values); ++i) {
+    CachedEval out;
+    ASSERT_TRUE(loaded.lookup(i, &out));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(out.eval.objective),
+              std::bit_cast<std::uint64_t>(values[i]))
+        << i;
+    EXPECT_EQ(out.eval.nodes_used, -static_cast<int>(i));
+  }
+}
+
+TEST(EvalCache, BatchLookupAndInsertMatchSingleCalls) {
+  EvalCache cache;
+  const std::vector<std::uint64_t> keys = {5, 9, 5};
+  const std::vector<CachedEval> values = {sample(0.5), sample(0.9),
+                                          sample(0.25)};
+  cache.insert(keys, values);
+  EXPECT_EQ(cache.size(), 2u);  // the later 5 overwrote the earlier one
+  const std::vector<std::uint64_t> probe = {9, 4, 5};
+  const auto found = cache.lookup(probe);
+  ASSERT_EQ(found.size(), 3u);
+  ASSERT_TRUE(found[0].has_value());
+  EXPECT_EQ(found[0]->eval.objective, 0.9);
+  EXPECT_FALSE(found[1].has_value());
+  ASSERT_TRUE(found[2].has_value());
+  EXPECT_EQ(found[2]->eval.objective, 0.25);
+  EXPECT_EQ(cache.hits(), 2u);
+}
+
+TEST(EvalCache, ManyKeysSurviveTableGrowth) {
+  EvalCache cache;
+  for (std::uint64_t k = 0; k < 5000; ++k) {
+    cache.insert(k * 0x9e3779b97f4a7c15ULL, sample(static_cast<double>(k)));
+  }
+  EXPECT_EQ(cache.size(), 5000u);
+  CachedEval out;
+  for (std::uint64_t k = 0; k < 5000; ++k) {
+    ASSERT_TRUE(cache.lookup(k * 0x9e3779b97f4a7c15ULL, &out));
+    EXPECT_EQ(out.eval.objective, static_cast<double>(k));
+  }
+  EXPECT_FALSE(cache.lookup(1, &out));
 }
 
 TEST_F(EvalCacheFiles, SaveLeavesNoTempFileBehind) {

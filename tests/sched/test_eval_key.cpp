@@ -1,0 +1,224 @@
+// Candidate generation and evaluation keys: the direct canonical-form
+// generator against a brute-force odometer, the per-plan key layout shared
+// by score_specs() and score_assignments(), and the seeded-sample identity
+// that must not move when the key layout does.
+#include "sched/eval_key.hpp"
+
+#include <gtest/gtest.h>
+
+#include <cmath>
+#include <cstdint>
+#include <memory>
+#include <set>
+#include <vector>
+
+#include "sched/batch_evaluator.hpp"
+#include "sched/candidates.hpp"
+#include "sched/eval_cache.hpp"
+#include "sched/risk.hpp"
+#include "workload/presets.hpp"
+
+namespace wfe::sched {
+namespace {
+
+/// The historical enumeration, kept here as the reference: walk all
+/// pool^slots assignments in lexicographic order and keep the first member
+/// of each relabeling class.
+std::vector<Assignment> odometer_reference(std::size_t slots, int pool) {
+  std::vector<Assignment> out;
+  std::set<Assignment> seen;
+  Assignment a(slots, 0);
+  for (;;) {
+    Assignment canon = canonical(a, pool);
+    if (seen.insert(canon).second) out.push_back(std::move(canon));
+    std::size_t pos = slots;
+    while (pos > 0) {
+      if (++a[pos - 1] < pool) break;
+      a[pos - 1] = 0;
+      --pos;
+    }
+    if (pos == 0) break;
+  }
+  return out;
+}
+
+/// Sum over k <= pool of the Stirling numbers of the second kind S(n, k):
+/// the number of ways to split n components into at most `pool` nodes.
+std::uint64_t stirling_sum(std::size_t n, int pool) {
+  std::vector<std::vector<std::uint64_t>> s(
+      n + 1, std::vector<std::uint64_t>(n + 1, 0));
+  s[0][0] = 1;
+  for (std::size_t i = 1; i <= n; ++i) {
+    for (std::size_t k = 1; k <= i; ++k) {
+      s[i][k] = k * s[i - 1][k] + s[i - 1][k - 1];
+    }
+  }
+  std::uint64_t total = 0;
+  for (std::size_t k = 1; k <= n && k <= static_cast<std::size_t>(pool);
+       ++k) {
+    total += s[n][k];
+  }
+  return total;
+}
+
+TEST(Enumeration, DirectGeneratorEqualsOdometerReference) {
+  int cases = 0;
+  for (std::size_t slots = 1; slots <= 17; ++slots) {
+    for (int pool = 1; pool <= 12; ++pool) {
+      if (std::pow(pool, static_cast<double>(slots)) > 2e5) continue;
+      EXPECT_EQ(enumerate_assignments(slots, pool),
+                odometer_reference(slots, pool))
+          << "slots=" << slots << " pool=" << pool;
+      ++cases;
+    }
+  }
+  EXPECT_GT(cases, 50);
+}
+
+TEST(Enumeration, CountsAreStirlingSums) {
+  EXPECT_EQ(enumerate_assignments(9, 5).size(), 18002u);  // paper_like(3,2)
+  EXPECT_EQ(enumerate_assignments(8, 4).size(), 2795u);   // paper_like(4,1)
+  for (std::size_t slots = 1; slots <= 10; ++slots) {
+    for (int pool = 1; pool <= 7; ++pool) {
+      EXPECT_EQ(enumerate_assignments(slots, pool).size(),
+                stirling_sum(slots, pool))
+          << "slots=" << slots << " pool=" << pool;
+    }
+  }
+}
+
+// ------------------------------------------------------------------- keys
+
+class KeyLayout : public ::testing::Test {
+ protected:
+  const plat::PlatformSpec platform_ = wl::cori_like_platform();
+  const EnsembleShape shape_ = EnsembleShape::paper_like(2, 1);
+  const Assignment a_ = {0, 1, 1, 0};
+  EvalCache shared_;
+
+  /// A fresh evaluator on the shared tier, as a new plan would build one.
+  std::unique_ptr<BatchEvaluator> fresh() {
+    auto ev = std::make_unique<BatchEvaluator>(platform_, /*threads=*/1);
+    ev->attach_shared_cache(&shared_);
+    return ev;
+  }
+};
+
+TEST_F(KeyLayout, SpecsAndAssignmentsShareOneEntry) {
+  const auto by_spec = fresh();
+  const auto spec_scores = by_spec->score_specs({place(shape_, a_)});
+  EXPECT_EQ(by_spec->evaluations(), 1u);
+  EXPECT_EQ(shared_.size(), 1u);
+
+  const auto by_assignment = fresh();
+  const auto scores = by_assignment->score_assignments(shape_, {a_});
+  EXPECT_EQ(by_assignment->evaluations(), 0u);
+  EXPECT_EQ(by_assignment->shared_hits(), 1u);
+  EXPECT_EQ(shared_.size(), 1u);
+  EXPECT_EQ(scores[0].eval.objective, spec_scores[0].eval.objective);
+}
+
+TEST_F(KeyLayout, RelabeledAssignmentHitsTheSameKey) {
+  const auto first = fresh();
+  (void)first->score_assignments(shape_, {a_});
+  const auto second = fresh();
+  (void)second->score_assignments(shape_, {{2, 0, 0, 2}});
+  EXPECT_EQ(second->evaluations(), 0u);
+  EXPECT_EQ(second->shared_hits(), 1u);
+  const auto third = fresh();
+  (void)third->score_specs({place(shape_, {1, 2, 2, 1})});
+  EXPECT_EQ(third->evaluations(), 0u);
+  EXPECT_EQ(shared_.size(), 1u);
+}
+
+TEST_F(KeyLayout, ChangedCostConstantMisses) {
+  const auto first = fresh();
+  (void)first->score_assignments(shape_, {a_});
+  EnsembleShape heavier = shape_;
+  heavier.members[1].analyses[0].cost.subsample_stride *= 2;
+  const auto second = fresh();
+  (void)second->score_assignments(heavier, {a_});
+  EXPECT_EQ(second->evaluations(), 1u);
+  EXPECT_EQ(second->shared_hits(), 0u);
+  EXPECT_EQ(shared_.size(), 2u);
+}
+
+TEST_F(KeyLayout, KeysCarryTheModelDigest) {
+  // The evaluator stores its score under the key built from this binary's
+  // model digest, and an entry some other model left under its own digest
+  // is never served.
+  const std::uint64_t demand = demand_digest(shape_);
+  const std::uint64_t scenario = scenario_fingerprint(rt::SimulatedOptions{});
+  PlacementKeys keys(platform_.node_count);
+  const auto key_under = [&](std::uint64_t model) {
+    return keys.of(key_prefix(platform_.fingerprint(), scenario, 6, demand,
+                              model),
+                   a_);
+  };
+  const std::uint64_t ours = key_under(model_digest());
+  const std::uint64_t theirs = key_under(model_digest() ^ 1);
+  ASSERT_NE(ours, theirs);
+  CachedEval stale;
+  stale.feasible = true;
+  stale.eval.objective = -1.0;
+  shared_.insert(theirs, stale);
+
+  const auto ev = fresh();
+  const auto scores = ev->score_assignments(shape_, {a_});
+  EXPECT_EQ(ev->evaluations(), 1u);
+  EXPECT_EQ(ev->shared_hits(), 0u);
+  EXPECT_NE(scores[0].eval.objective, -1.0);
+  CachedEval out;
+  EXPECT_TRUE(shared_.lookup(ours, &out));
+  EXPECT_EQ(out.eval.objective, scores[0].eval.objective);
+}
+
+TEST(ModelDigest, IsStableAndMovesNoEvaluatorCounter) {
+  const std::uint64_t digest = model_digest();
+  EXPECT_NE(digest, 0u);
+  EXPECT_EQ(model_digest(), digest);
+  BatchEvaluator ev(wl::cori_like_platform(), /*threads=*/1);
+  EXPECT_EQ(ev.evaluations(), 0u);
+  EXPECT_EQ(ev.events_processed(), 0u);
+}
+
+TEST(DemandDigest, ShapeAndPlacedSpecAgree) {
+  const EnsembleShape shape = EnsembleShape::paper_like(3, 2);
+  const rt::EnsembleSpec spec = place(shape, {0, 0, 1, 1, 2, 2, 0, 1, 2});
+  EXPECT_EQ(demand_digest(spec), demand_digest(shape));
+  EXPECT_EQ(demand_digest(EnsembleShape::of(spec)), demand_digest(shape));
+}
+
+TEST(PlacementKeysTest, OutOfPoolNodesShareOneInfeasibleLabel) {
+  PlacementKeys keys(/*node_count=*/4);
+  EXPECT_EQ(keys.of(7, Assignment{0, 9}), keys.of(7, Assignment{0, -3}));
+  EXPECT_NE(keys.of(7, Assignment{0, 9}), keys.of(7, Assignment{0, 1}));
+  EXPECT_NE(keys.of(7, Assignment{0, 1}), keys.of(8, Assignment{0, 1}));
+}
+
+// ------------------------------------------------------------ sample seeds
+
+TEST(SampleSeeds, MatchThePinnedPreRekeyValues) {
+  // Literals computed by the previous key layout (the spec-level memo
+  // digest of place(shape, arm), mixed with the sample index). Changing
+  // them changes every seeded replay bai-search makes.
+  const auto platform = wl::cori_like_platform();
+  BatchEvaluator det(platform, /*threads=*/1);
+  EXPECT_EQ(det.sample_seed(EnsembleShape::paper_like(2, 1), {0, 1, 1, 0}, 3),
+            0x6beddc11a9b065abULL);
+
+  PlanOptions options;
+  options.jitter_cv = 0.1;
+  options.probe_samples = 2;
+  BatchEvaluator jittered(platform, probe_scenario(options), /*threads=*/1);
+  const EnsembleShape shape = EnsembleShape::paper_like(4, 1);
+  const Assignment arm = {0, 1, 2, 3, 0, 1, 2, 3};
+  EXPECT_EQ(jittered.sample_seed(shape, arm, 0), 0x581f199541bcf99bULL);
+  EXPECT_EQ(jittered.sample_seed(shape, arm, 5), 0xb50f6eb0628ad7feULL);
+  // A relabeled arm is the same candidate, hence the same draws.
+  EXPECT_EQ(jittered.sample_seed(shape, {3, 2, 1, 0, 3, 2, 1, 0}, 5),
+            0xb50f6eb0628ad7feULL);
+}
+
+}  // namespace
+}  // namespace wfe::sched
