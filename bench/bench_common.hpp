@@ -88,35 +88,6 @@ class JsonReport {
     upsert(key, std::move(json_value));
   }
 
-  /// Load a report previously written by render() so a bench can MERGE its
-  /// series into a shared BENCH_*.json instead of clobbering the other
-  /// benches' numbers (bench_lp_scaling adds its lp_* series to
-  /// BENCH_engine.json this way). Only the flat one-line-per-key format
-  /// render() emits is understood — add_raw() multi-line values (the
-  /// bench_micro array) do not round-trip. Returns false and leaves the
-  /// report empty when `path` is missing or holds no entries.
-  bool load(const std::string& path) {
-    entries_.clear();
-    std::ifstream in(path);
-    if (!in) return false;
-    std::string line;
-    while (std::getline(in, line)) {
-      const std::size_t q0 = line.find('"');
-      if (q0 == std::string::npos) continue;  // "{" / "}" / blank
-      const std::size_t q1 = line.find('"', q0 + 1);
-      if (q1 == std::string::npos) continue;
-      const std::size_t colon = line.find(':', q1);
-      if (colon == std::string::npos) continue;
-      std::size_t b = line.find_first_not_of(" \t", colon + 1);
-      if (b == std::string::npos) continue;
-      std::size_t e = line.find_last_not_of(" \t");
-      if (line[e] == ',') --e;
-      entries_.emplace_back(line.substr(q0 + 1, q1 - q0 - 1),
-                            line.substr(b, e - b + 1));
-    }
-    return !entries_.empty();
-  }
-
   std::string render() const {
     std::string out = "{\n";
     for (std::size_t i = 0; i < entries_.size(); ++i) {
@@ -136,7 +107,6 @@ class JsonReport {
 
  private:
   /// Replace an existing key in place (keeping its position) or append.
-  /// Makes merge-style benches idempotent across re-runs.
   void upsert(const std::string& key, std::string rendered) {
     for (auto& entry : entries_) {
       if (entry.first == key) {

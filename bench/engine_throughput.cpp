@@ -11,10 +11,8 @@
 // full-mode baselines.
 #include "bench_common.hpp"
 
-#include <algorithm>
 #include <cstring>
 
-#include "obs/replay_profile.hpp"
 #include "simengine/engine.hpp"
 
 namespace {
@@ -178,7 +176,6 @@ int main(int argc, char** argv) {
   const auto c15 = wl::paper_config("C1.5");
   rt::SimulatedExecutor exec(wl::cori_like_platform());
   (void)exec.run(c15.spec);
-  obs::replay_profile::reset();
   const bench::Stopwatch timer;
   std::uint64_t replay_events = 0;
   for (int i = 0; i < replays; ++i) {
@@ -189,26 +186,6 @@ int main(int argc, char** argv) {
   std::cout << "full replay (" << c15.name << " x" << replays
             << "): " << replay_events << " events, " << sci(replay_rate, 3)
             << " events/s\n";
-
-  // Per-component attribution, only meaningful when this binary links the
-  // profiled runtime twin (wfens_runtime_prof); with the production
-  // runtime every section is zero and the breakdown is skipped —
-  // bench_replay_profile is the tool that reports it.
-  const obs::ReplayProfileSnapshot prof = obs::replay_profile::snapshot();
-  if (prof.total_ns() > 0) {
-    const double wall_ns = replay_wall * 1e9;
-    const double section_ns = static_cast<double>(prof.total_ns());
-    const double engine_ns = std::max(0.0, wall_ns - section_ns);
-    const double denom = engine_ns + section_ns;
-    std::cout << "  profiled sections: engine "
-              << sci(100.0 * engine_ns / denom, 3) << " %";
-    for (std::size_t s = 0; s < obs::kReplaySectionCount; ++s) {
-      std::cout << ", " << obs::to_string(static_cast<obs::ReplaySection>(s))
-                << " " << sci(100.0 * static_cast<double>(prof.ns[s]) / denom, 3)
-                << " %";
-    }
-    std::cout << "\n";
-  }
 
   bench::JsonReport report;
   report.add("bench", "engine_throughput");

@@ -123,24 +123,6 @@ class StageColumns {
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
-  // Row access in insertion order, for the LP-partitioned replay: the
-  // merge re-pushes every lane's rows into one buffer in the sequential
-  // global event order, so counter totals accumulate in the identical
-  // floating-point order and take_trace() sees the identical insertion
-  // sequence.
-  const ComponentId& row_component(std::size_t i) const {
-    return component_[i];
-  }
-  std::uint64_t row_step(std::size_t i) const { return step_[i]; }
-  core::StageKind row_kind(std::size_t i) const { return kind_[i]; }
-  double row_start(std::size_t i) const { return start_[i]; }
-  double row_end(std::size_t i) const { return end_[i]; }
-  /// The row's counters, or null for a counter-less stage — so a re-push
-  /// preserves which push() overload recorded it.
-  const plat::HwCounters* row_counters(std::size_t i) const {
-    return counter_slot_[i] == 0 ? nullptr : &counters_[counter_slot_[i] - 1];
-  }
-
   /// Running sum of every pushed HwCounters — the per-replay accumulator
   /// flushed once into ExecutionResult instead of per stage.
   const plat::HwCounters& counter_total() const { return total_; }

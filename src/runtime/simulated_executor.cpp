@@ -11,7 +11,6 @@
 #include "analysis/cost_model.hpp"
 #include "dtl/replication.hpp"
 #include "dtl/serde.hpp"
-#include "exec/thread_pool.hpp"
 #include "mdsim/cost_model.hpp"
 #include "metrics/trace_io.hpp"
 #include "obs/recorder.hpp"
@@ -19,26 +18,9 @@
 #include "platform/health.hpp"
 #include "resilience/fault_injector.hpp"
 #include "simengine/engine.hpp"
-#include "simengine/parallel.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 #include "support/str.hpp"
-
-// Per-component replay profiling (PERF.md §7): WFENS_REPLAY_PROFILE=1 —
-// defined only for the wfens_runtime_prof twin library that
-// bench_replay_profile links — compiles scoped section timers into the hot
-// path. The production build gets nothing, not even a branch.
-#if defined(WFENS_REPLAY_PROFILE) && WFENS_REPLAY_PROFILE
-#include "obs/replay_profile.hpp"
-#define WFE_REPLAY_PROF(section)                    \
-  const ::wfe::obs::ReplaySectionTimer wfe_replay_prof_scope { \
-    ::wfe::obs::ReplaySection::section                         \
-  }
-#else
-#define WFE_REPLAY_PROF(section) \
-  do {                           \
-  } while (false)
-#endif
 
 namespace wfe::rt {
 
@@ -61,27 +43,11 @@ std::vector<met::StageColumns>& column_pool() {
   return pool;
 }
 
-/// One non-stage observability emission an LP lane defers for the ordered
-/// merge (today only the staging-buffer occupancy gauge from
-/// MemberRun::commit — every other traced emission on the fault-free path
-/// is derivable 1:1 from a stage push). `at_push` anchors it between the
-/// lane's stage pushes: the op precedes the lane's push with that index.
-struct ObsOp {
-  std::uint32_t member = 0;
-  double t = 0.0;
-  double value = 0.0;
-  std::uint32_t at_push = 0;
-};
-
 /// Whole-replay context shared by all component state machines.
 struct Replay {
   const EnsembleSpec& spec;
   plat::Cluster cluster;
-  /// The event queue driving this replay. Sequential replays own theirs
-  /// (`own_engine`); an LP lane binds to its lane engine inside the
-  /// ParallelEngine instead, so the state machines are engine-agnostic.
-  Engine own_engine;
-  Engine& engine;
+  Engine engine;
   /// Replay is single-threaded by construction (one engine, one clock), so
   /// stages accumulate in a columnar SoA buffer — no TraceRecorder mutex
   /// and no per-event StageRecord construction on the hot path.
@@ -110,18 +76,10 @@ struct Replay {
   /// Online re-planning hook (null = built-in migration policy).
   MigrationPlanner migrate;
 
-  /// Non-null on an LP lane: traced non-stage emissions are appended here
-  /// (in lane order, with their push anchor) instead of reaching the
-  /// recorder, and the merge replays them in the global event order. Null
-  /// on sequential replays — emission stays direct and unchanged.
-  std::vector<ObsOp>* obs_log = nullptr;
-
   Replay(const EnsembleSpec& s, const plat::PlatformSpec& platform,
-         const SimulatedOptions& options, std::uint64_t seed,
-         Engine* lane_engine = nullptr)
+         const SimulatedOptions& options, std::uint64_t seed)
       : spec(s),
         cluster(platform),
-        engine(lane_engine != nullptr ? *lane_engine : own_engine),
         rng(seed),
         traced(options.trace_obs && obs::enabled()) {
     engine.set_obs(traced);
@@ -307,7 +265,6 @@ struct ComponentFootprint {
 };
 
 plat::StageCost ComponentFootprint::priced(Replay& rp) const {
-  WFE_REPLAY_PROF(kInterference);
   plat::StageCost total;
   double worst_slowdown = 1.0;
   for (const Partition& p : partitions) {
@@ -375,14 +332,9 @@ void trace_obs_stage(const met::ComponentId& component, StageKind kind,
 void record_stage(Replay& rp, const met::ComponentId& component,
                   std::uint64_t step, StageKind kind, double start,
                   double end) {
-  WFE_REPLAY_PROF(kMetrics);
   WFE_REQUIRE(end >= start, "a stage cannot end before it starts");
   rp.columns.push(component, step, kind, start, end);
-  // On an LP lane the span is re-derived from this push at merge time (1:1,
-  // same arguments), so nothing needs logging — just defer emission.
-  if (rp.traced && rp.obs_log == nullptr) {
-    trace_obs_stage(component, kind, start, end);
-  }
+  if (rp.traced) trace_obs_stage(component, kind, start, end);
 }
 
 /// Compute-stage variant carrying synthesized counters. All-zero counters
@@ -392,7 +344,6 @@ void record_stage(Replay& rp, const met::ComponentId& component,
 void record_stage(Replay& rp, const met::ComponentId& component,
                   std::uint64_t step, StageKind kind, double start, double end,
                   const plat::HwCounters& counters) {
-  WFE_REPLAY_PROF(kMetrics);
   WFE_REQUIRE(end >= start, "a stage cannot end before it starts");
   if (counters.instructions == 0.0 && counters.cycles == 0.0 &&
       counters.llc_references == 0.0 && counters.llc_misses == 0.0) {
@@ -400,9 +351,7 @@ void record_stage(Replay& rp, const met::ComponentId& component,
   } else {
     rp.columns.push(component, step, kind, start, end, counters);
   }
-  if (rp.traced && rp.obs_log == nullptr) {
-    trace_obs_stage(component, kind, start, end);
-  }
+  if (rp.traced) trace_obs_stage(component, kind, start, end);
 }
 
 /// One fault-killable execution slot: the component's pending engine event
@@ -522,7 +471,6 @@ struct MemberRun {
   /// cost of surviving a producer-node death. Jitter and degradation
   /// stretches multiply *after* this, so the cached base stays valid.
   double write_time(Replay& rp) {
-    WFE_REPLAY_PROF(kStageModel);
     if (write_stamp == sim.layout_epoch) return write_cache;
     const double shard = chunk_bytes / static_cast<double>(sim.node_count());
     double w = 0.0;
@@ -546,7 +494,6 @@ struct MemberRun {
   /// shard in parallel; the slowest pair dominates. Slices landing on
   /// their own shard's node are local copies.
   double read_time(Replay& rp, const ComponentFootprint& reader) const {
-    WFE_REPLAY_PROF(kStageModel);
     const double piece =
         chunk_bytes / static_cast<double>(sim.node_count() *
                                           reader.node_count());
@@ -963,13 +910,8 @@ void MemberRun::commit(Replay& rp) {
     std::int64_t drained = committed;
     for (std::int64_t c : consumed) drained = std::min(drained, c);
     const double occupancy = static_cast<double>(committed - drained);
-    if (rp.obs_log != nullptr) {
-      rp.obs_log->push_back({sim_id.member, rp.engine.now(), occupancy,
-                             static_cast<std::uint32_t>(rp.columns.size())});
-    } else {
-      obs::set_counter(strprintf("dtl.m%u.occupancy", sim_id.member),
-                       rp.engine.now(), occupancy);
-    }
+    obs::set_counter(strprintf("dtl.m%u.occupancy", sim_id.member),
+                     rp.engine.now(), occupancy);
   }
   // Wake readers parked on this chunk.
   for (AnalysisRun& a : analyses) {
@@ -1063,10 +1005,7 @@ void AnalysisRun::start_read(Replay& rp) {
 }
 
 /// Construct every member's state machines and register every component's
-/// residency on the replay's cluster. Shared by the sequential path and by
-/// each LP lane: a lane builds the FULL member set (co-location pricing
-/// must see every resident working set, exactly as the sequential cluster
-/// does) but schedules roots only for its own member.
+/// residency on the replay's cluster.
 std::vector<std::unique_ptr<MemberRun>> build_members(Replay& rp) {
   const EnsembleSpec& spec = rp.spec;
   std::vector<std::unique_ptr<MemberRun>> members;
@@ -1130,12 +1069,6 @@ SimulatedExecutor::SimulatedExecutor(plat::PlatformSpec platform,
               "jitter coefficient of variation must be non-negative");
   options_.faults.validate();
   options_.recovery.validate();
-  // Resolve the engine selection once (possibly from $WFENS_ENGINE), so
-  // every replay this executor runs uses the same engine and options()
-  // reports the concrete choice.
-  options_.engine = options_.engine.resolved();
-  WFE_REQUIRE(options_.engine.threads >= 1,
-              "engine selection needs at least one thread");
 }
 
 ExecutionResult SimulatedExecutor::run(const EnsembleSpec& spec) const {
@@ -1145,22 +1078,6 @@ ExecutionResult SimulatedExecutor::run(const EnsembleSpec& spec) const {
 ExecutionResult SimulatedExecutor::run_seeded(const EnsembleSpec& spec,
                                               std::uint64_t seed) const {
   spec.validate(platform_);
-  // The LP runtime only takes replays it can partition into independent
-  // member pipelines: jitter draws from one shared RNG in global event
-  // order, and fault injection cancels events and mutates shared recovery
-  // state, so both fall back to the sequential engine (results are
-  // bit-identical either way — the fallback costs nothing but speedup).
-  // The seed override never reaches the LP path: with jitter disabled (the
-  // precondition for partitioning) no replay consults the RNG at all.
-  if (options_.engine.kind == EngineSelection::Kind::kLp &&
-      options_.jitter_cv == 0.0 && !options_.faults.enabled()) {
-    return run_lp(spec);
-  }
-  return run_sequential(spec, seed);
-}
-
-ExecutionResult SimulatedExecutor::run_sequential(
-    const EnsembleSpec& spec, std::uint64_t seed) const {
   Replay rp(spec, platform_, options_, seed);
   std::vector<std::unique_ptr<MemberRun>> members = build_members(rp);
 
@@ -1187,10 +1104,7 @@ ExecutionResult SimulatedExecutor::run_sequential(
   // Flush the per-replay counter accumulator once, then materialize the
   // columns (same (start, component) stable sort as the AoS constructor).
   result.hw_totals = rp.columns.counter_total();
-  {
-    WFE_REPLAY_PROF(kMetrics);
-    result.trace = rp.columns.take_trace();
-  }
+  result.trace = rp.columns.take_trace();
   result.n_steps = spec.n_steps;
   result.events_processed = rp.engine.events_processed();
   result.failure_summary = std::move(rp.summary);
@@ -1198,200 +1112,6 @@ ExecutionResult SimulatedExecutor::run_sequential(
   if (rp.traced) {
     if (obs::Recorder* rec = obs::current()) {
       const double t_end = rp.engine.now();
-      obs::set_counter("run.makespan_s", t_end, t_end);
-      obs::add_counter("run.stage_records", t_end,
-                       static_cast<double>(result.trace.size()));
-      result.counters = rec->counters().snapshot();
-    }
-  }
-  return result;
-}
-
-ExecutionResult SimulatedExecutor::run_lp(const EnsembleSpec& spec) const {
-  const std::size_t lps = spec.members.size();
-  sim::ParallelEngine pe(lps);
-
-  // Per-LP replay context: a full replica of the modelled cluster with
-  // EVERY member's residency registered (so co-location interference
-  // pricing is bit-identical to the sequential cluster), bound to its lane
-  // engine. Only the lane's own member gets roots; the other members'
-  // state machines exist solely as cluster residents and never execute.
-  // Lanes therefore share no mutable state at all — the conservative
-  // window protocol synchronizes progress, not data.
-  struct LaneCtx {
-    std::unique_ptr<Replay> rp;
-    std::vector<std::unique_ptr<MemberRun>> members;
-    std::vector<ObsOp> obs_ops;
-    /// Per executed event: lane columns size after it — the merge's push
-    /// ranges. Written by the boundary hook on the lane's worker thread.
-    std::vector<std::uint32_t> ev_push_end;
-    std::vector<std::uint32_t> ev_obs_end;
-  };
-  std::vector<LaneCtx> lanes(lps);
-  for (std::size_t i = 0; i < lps; ++i) {
-    lanes[i].rp = std::make_unique<Replay>(spec, platform_, options_,
-                                           options_.seed, &pe.lp_engine(i));
-    lanes[i].rp->obs_log = &lanes[i].obs_ops;
-    lanes[i].members = build_members(*lanes[i].rp);
-  }
-  const bool traced = lanes[0].rp->traced;
-
-  pe.set_boundary(
-      [](void* ctx, std::size_t lp, std::uint64_t /*event_index*/) {
-        auto& all = *static_cast<std::vector<LaneCtx>*>(ctx);
-        LaneCtx& lane = all[lp];
-        lane.ev_push_end.push_back(
-            static_cast<std::uint32_t>(lane.rp->columns.size()));
-        lane.ev_obs_end.push_back(
-            static_cast<std::uint32_t>(lane.obs_ops.size()));
-      },
-      &lanes);
-
-  // Roots in the exact order the sequential engine schedules them
-  // (member-major: each member's simulation, then its analyses) — their
-  // call order defines the merge's global sequence numbers 0..R-1.
-  for (std::size_t i = 0; i < lps; ++i) {
-    Replay& rp = *lanes[i].rp;
-    MemberRun* raw = lanes[i].members[i].get();
-    pe.schedule_root(i, 0.0, [raw, &rp] { raw->start_sim_step(rp); });
-    for (AnalysisRun& a : raw->analyses) {
-      AnalysisRun* ap = &a;
-      pe.schedule_root(i, 0.0, [ap, &rp] { ap->try_read(rp); });
-    }
-  }
-
-  // Conservative lookahead from the coupling protocol W_i < R_i < W_{i+1}:
-  // the soonest a committed chunk could influence anything downstream is
-  // one write + read turnaround, so the tightest member's W + min R bounds
-  // cross-LP interaction spacing from below (docs/PERF.md §8). Computing
-  // the bound pre-warms the same layout-keyed caches the replay fills
-  // lazily — identical values, so the trace is unaffected.
-  double lookahead = sim::ParallelEngine::kUnbounded;
-  for (std::size_t i = 0; i < lps; ++i) {
-    Replay& rp = *lanes[i].rp;
-    MemberRun& m = *lanes[i].members[i];
-    double turnaround = m.write_time(rp);
-    double min_read = sim::ParallelEngine::kUnbounded;
-    for (AnalysisRun& a : m.analyses) {
-      min_read = std::min(min_read, a.read_cost(rp));
-    }
-    if (min_read != sim::ParallelEngine::kUnbounded) turnaround += min_read;
-    lookahead = std::min(lookahead, turnaround);
-  }
-  if (!(lookahead > 0.0)) lookahead = sim::ParallelEngine::kUnbounded;
-
-  const auto threads = std::min(static_cast<std::size_t>(std::max(
-                                    1, options_.engine.threads)),
-                                lps);
-  if (threads > 1) {
-    // A local crew per replay: executors may be driven concurrently (the
-    // batch evaluator runs one per worker), so nothing pool-shaped hangs
-    // off `this`.
-    exec::ThreadPool pool(static_cast<int>(threads));
-    pe.run(&pool, lookahead);
-  } else {
-    pe.run(nullptr, lookahead);
-  }
-
-  // Ordered merge: visit every event in the sequential global (time, seq)
-  // order and replay its lane's stage pushes and deferred obs emissions,
-  // rebuilding the exact insertion order (and therefore the exact
-  // floating-point accumulation order of the counter totals) plus the
-  // sequential traced run()'s engine telemetry.
-  struct PooledColumns {
-    met::StageColumns columns;
-    PooledColumns() {
-      if (auto& pool = column_pool(); !pool.empty()) {
-        columns = std::move(pool.back());
-        pool.pop_back();
-      }
-    }
-    ~PooledColumns() {
-      columns.clear();
-      column_pool().push_back(std::move(columns));
-    }
-  };
-  PooledColumns merged;
-  {
-    std::size_t components = 0;
-    for (const MemberSpec& m : spec.members) components += 1 + m.analyses.size();
-    merged.columns.reserve(components * (spec.n_steps + 1) * 4);
-  }
-
-  {
-    WFE_REPLAY_PROF(kMetrics);
-    std::vector<std::size_t> obs_cursor(lps, 0);
-    std::uint64_t processed = 0;
-    std::uint64_t last = 0;
-    double t_last = 0.0;
-    pe.replay([&](std::size_t lp, std::uint64_t index, sim::SimTime time,
-                  std::size_t depth) {
-      LaneCtx& lane = lanes[lp];
-      const met::StageColumns& cols = lane.rp->columns;
-      const std::uint32_t p0 = index == 0 ? 0 : lane.ev_push_end[index - 1];
-      const std::uint32_t p1 = lane.ev_push_end[index];
-      const std::uint32_t o1 = lane.ev_obs_end[index];
-      std::size_t& oc = obs_cursor[lp];
-      for (std::uint32_t i = p0; i < p1; ++i) {
-        while (oc < o1 && lane.obs_ops[oc].at_push <= i) {
-          const ObsOp& op = lane.obs_ops[oc++];
-          obs::set_counter(strprintf("dtl.m%u.occupancy", op.member), op.t,
-                           op.value);
-        }
-        const met::ComponentId& component = cols.row_component(i);
-        const core::StageKind kind = cols.row_kind(i);
-        const double start = cols.row_start(i);
-        const double end = cols.row_end(i);
-        if (const plat::HwCounters* c = cols.row_counters(i)) {
-          merged.columns.push(component, cols.row_step(i), kind, start, end,
-                              *c);
-        } else {
-          merged.columns.push(component, cols.row_step(i), kind, start, end);
-        }
-        if (traced) trace_obs_stage(component, kind, start, end);
-      }
-      while (oc < o1) {
-        const ObsOp& op = lane.obs_ops[oc++];
-        obs::set_counter(strprintf("dtl.m%u.occupancy", op.member), op.t,
-                         op.value);
-      }
-      t_last = time;
-      ++processed;
-      // The sequential traced run() samples the engine counters every
-      // kObsEventStride dispatched events; replicate its cadence over the
-      // merged order, with the merge heap's size standing in for the
-      // engine's queue depth (they are equal by construction).
-      if (traced && processed - last >= Engine::kObsEventStride) {
-        obs::add_counter("engine.events", time,
-                         static_cast<double>(processed - last));
-        obs::set_counter("engine.queue_depth", time,
-                         static_cast<double>(depth));
-        last = processed;
-      }
-    });
-    if (traced) {
-      if (processed != last) {
-        obs::add_counter("engine.events", t_last,
-                         static_cast<double>(processed - last));
-        obs::set_counter("engine.queue_depth", t_last, 0.0);
-      }
-      obs::span("engine", "run", 0.0, t_last);
-    }
-  }
-
-  ExecutionResult result;
-  result.hw_totals = merged.columns.counter_total();
-  {
-    WFE_REPLAY_PROF(kMetrics);
-    result.trace = merged.columns.take_trace();
-  }
-  result.n_steps = spec.n_steps;
-  result.events_processed = pe.events_processed();
-  // Fault injection never routes here, so the failure summary and health
-  // log keep their defaults — exactly the sequential fault-free values.
-  if (traced) {
-    if (obs::Recorder* rec = obs::current()) {
-      const double t_end = pe.now();
       obs::set_counter("run.makespan_s", t_end, t_end);
       obs::add_counter("run.stage_records", t_end,
                        static_cast<double>(result.trace.size()));

@@ -25,7 +25,6 @@
 
 #include "platform/spec.hpp"
 #include "resilience/fault_spec.hpp"
-#include "runtime/engine_select.hpp"
 #include "runtime/result.hpp"
 #include "runtime/spec.hpp"
 
@@ -76,14 +75,6 @@ struct SimulatedOptions {
   /// Online re-planning hook consulted on every permanent node death.
   /// Null (default) = the executor's built-in migration policy.
   MigrationPlanner migrate;
-
-  /// Which replay engine runs the event loop (engine_select.hpp):
-  /// sequential calendar queue or the LP-partitioned ParallelEngine.
-  /// Resolved against $WFENS_ENGINE at executor construction. Results are
-  /// bit-identical either way; replays the LP runtime cannot partition
-  /// (jitter or fault injection couple all members through shared state)
-  /// fall back to the sequential engine automatically.
-  EngineSelection engine;
 };
 
 class SimulatedExecutor {
@@ -109,15 +100,6 @@ class SimulatedExecutor {
   const SimulatedOptions& options() const { return options_; }
 
  private:
-  /// The classic single-engine replay loop. `seed` feeds the jitter RNG
-  /// (normally options().seed; run_seeded passes its override).
-  ExecutionResult run_sequential(const EnsembleSpec& spec,
-                                 std::uint64_t seed) const;
-  /// LP-partitioned replay (simengine/parallel.hpp): one logical process
-  /// per ensemble member, merged back into the exact sequential event
-  /// order — bit-identical results, chosen via options().engine.
-  ExecutionResult run_lp(const EnsembleSpec& spec) const;
-
   plat::PlatformSpec platform_;
   SimulatedOptions options_;
 };

@@ -70,7 +70,6 @@ rt::SimulatedOptions probe_scenario(const PlanOptions& options) {
   scenario.faults = options.faults.probe_view();
   scenario.recovery = options.recovery;
   scenario.trace_obs = false;
-  scenario.engine = options.engine;
   return scenario;
 }
 

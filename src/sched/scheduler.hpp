@@ -18,7 +18,6 @@
 
 #include "platform/spec.hpp"
 #include "resilience/fault_spec.hpp"
-#include "runtime/engine_select.hpp"
 #include "runtime/spec.hpp"
 
 namespace wfe::sched {
@@ -105,12 +104,6 @@ struct PlanOptions {
   /// Spare-node provisioning knob: hold this many nodes of the budget back
   /// from placement as migration headroom for node deaths.
   int spare_nodes = 0;
-
-  /// Replay engine the probe replays run on (wfens_run --engine=lp:N,
-  /// env WFENS_ENGINE). Purely a throughput knob: both engines score
-  /// candidates bit-identically, so it is excluded from the EvalCache's
-  /// scenario fingerprint — cached scores stay valid across engines.
-  rt::EngineSelection engine;
 };
 
 /// A placement decision with provenance.

@@ -57,7 +57,6 @@ EventId Engine::schedule_at(SimTime t, Callback fn) {
   }
   fns_[slot] = std::move(fn);
   const std::uint32_t gen = generations_[slot];
-  if (sched_log_) sched_log_->push_back(t);
   route(Ref{t, next_seq_++, slot, gen});
   ++pending_;
   return EventId{pack(slot, gen)};
@@ -269,12 +268,6 @@ void Engine::dispatch_back() {
 bool Engine::step() {
   if (!ensure_near()) return false;
   dispatch_back();
-  return true;
-}
-
-bool Engine::peek_time(SimTime* t) {
-  if (!ensure_near()) return false;
-  *t = near_.back().time;
   return true;
 }
 

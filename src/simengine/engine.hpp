@@ -63,12 +63,6 @@ class Engine {
   /// (BENCH_engine.json `queue_policy`) and perf-trajectory diffs.
   static constexpr const char* kQueuePolicy = "calendar";
 
-  /// Counter-sample cadence of a traced run(): one `engine.events` /
-  /// `engine.queue_depth` emission per this many dispatched events. Public
-  /// because the LP merge (ParallelEngine) replicates the traced run()'s
-  /// instrumentation byte-for-byte over the merged event order.
-  static constexpr std::uint64_t kObsEventStride = 64;
-
   /// Current virtual time. Starts at 0.
   SimTime now() const { return now_; }
 
@@ -84,19 +78,6 @@ class Engine {
 
   /// Run one event. Returns false if the queue is empty.
   bool step();
-
-  /// Timestamp of the next event to fire, without dispatching it. Returns
-  /// false when no live events remain. May reorganize queue tiers (it
-  /// forces the near batch), but never observably: dispatch order is
-  /// unchanged. The LP runtime uses this to bound conservative windows.
-  bool peek_time(SimTime* t);
-
-  /// Point `log` at a vector to have every schedule_at/schedule_in append
-  /// the scheduled timestamp (in seq order); null disables. The LP runtime
-  /// records each event's children this way to reconstruct the sequential
-  /// engine's global (time, seq) order at merge time. Emission is passive:
-  /// no effect on dispatch order or results.
-  void set_schedule_log(std::vector<SimTime>* log) { sched_log_ = log; }
 
   /// Run until the queue drains. Returns the final virtual time.
   SimTime run();
@@ -137,6 +118,10 @@ class Engine {
   bool obs() const { return obs_; }
 
  private:
+  /// Counter-sample cadence of a traced run(): one `engine.events` /
+  /// `engine.queue_depth` emission per this many dispatched events.
+  static constexpr std::uint64_t kObsEventStride = 64;
+
   /// Queue entry: everything ordering needs, nothing dispatch owns. The
   /// callback stays in the arena; refs are trivially copyable so tier
   /// moves, sorts and splits are flat memory operations.
@@ -199,7 +184,6 @@ class Engine {
 
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 0;
-  std::vector<SimTime>* sched_log_ = nullptr;
   std::uint64_t processed_ = 0;
   std::size_t pending_ = 0;
   std::size_t refs_held_ = 0;

@@ -1,8 +1,11 @@
 #include "support/str.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
+#include <ostream>
+#include <type_traits>
 
 namespace wfe {
 
@@ -59,5 +62,42 @@ std::string join(const std::vector<std::string>& items,
   }
   return out;
 }
+
+template <typename T>
+std::optional<T> parse_number(std::string_view token) {
+  T value{};
+  const char* last = token.data() + token.size();
+  const auto [end, ec] = std::from_chars(token.data(), last, value);
+  if (ec != std::errc() || end != last) return std::nullopt;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) return std::nullopt;
+  }
+  return value;
+}
+
+template <typename T>
+bool parse_flag(std::string_view flag, std::string_view token, T& out,
+                std::ostream& err) {
+  const std::optional<T> value = parse_number<T>(token);
+  if (!value) {
+    err << "bad value for " << flag << ": '" << token << "'\n";
+    return false;
+  }
+  out = *value;
+  return true;
+}
+
+template std::optional<int> parse_number(std::string_view);
+template std::optional<long long> parse_number(std::string_view);
+template std::optional<std::uint64_t> parse_number(std::string_view);
+template std::optional<double> parse_number(std::string_view);
+template bool parse_flag(std::string_view, std::string_view, int&,
+                         std::ostream&);
+template bool parse_flag(std::string_view, std::string_view, long long&,
+                         std::ostream&);
+template bool parse_flag(std::string_view, std::string_view, std::uint64_t&,
+                         std::ostream&);
+template bool parse_flag(std::string_view, std::string_view, double&,
+                         std::ostream&);
 
 }  // namespace wfe

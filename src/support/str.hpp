@@ -2,7 +2,11 @@
 // snprintf-backed layer used by the table printer and bench output).
 #pragma once
 
+#include <cstdint>
+#include <iosfwd>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace wfe {
@@ -24,5 +28,18 @@ std::string human_seconds(double seconds);
 
 /// Join items with a separator.
 std::string join(const std::vector<std::string>& items, const std::string& sep);
+
+/// Parse all of `token` as a T (int, long long, std::uint64_t or double).
+/// Empty when any character is left over ("12x", " 1", ""), the value is
+/// outside T's range (so "-1" is no std::uint64_t), or a double is not
+/// finite.
+template <typename T>
+std::optional<T> parse_number(std::string_view token);
+
+/// parse_number for a command-line flag: stores the value in `out`, or
+/// writes "bad value for FLAG: 'TOKEN'" to `err` and returns false.
+template <typename T>
+bool parse_flag(std::string_view flag, std::string_view token, T& out,
+                std::ostream& err);
 
 }  // namespace wfe

@@ -189,46 +189,6 @@ TEST(LintStageRecord, AllowAnnotationSuppresses) {
   EXPECT_TRUE(fs.empty());
 }
 
-// -- LP-partition state outside the engine -----------------------------------
-
-TEST(LintLpState, LaneUseOutsideSimengineCaught) {
-  const std::string src =
-      "#include \"simengine/parallel.hpp\"\n"
-      "void f(wfe::sim::LpLane& lane) { lane.done.clear(); }\n";
-  const auto fs = lint::lint_source("src/runtime/x.cpp", src);
-  ASSERT_EQ(fs.size(), 1u);
-  EXPECT_EQ(fs[0].rule, "lp-state-outside-simengine");
-  EXPECT_EQ(fs[0].line, 2);  // the include line is exempt
-}
-
-TEST(LintLpState, FiresInToolsToo) {
-  const auto fs = lint::lint_source(
-      "tools/wfens_x.cpp", "wfe::sim::LpLane lane;\n");
-  ASSERT_EQ(fs.size(), 1u);
-  EXPECT_EQ(fs[0].rule, "lp-state-outside-simengine");
-}
-
-TEST(LintLpState, FineInsideSimengine) {
-  EXPECT_TRUE(lint::lint_source("src/simengine/parallel.cpp",
-                                "LpLane& lane = lanes_[lp];\n")
-                  .empty());
-}
-
-TEST(LintLpState, ParallelEngineApiIsFineEverywhere) {
-  const auto fs = lint::lint_source(
-      "src/runtime/x.cpp",
-      "wfe::sim::ParallelEngine pe(4);\n"
-      "pe.schedule_root(0, 0.0, cb);\n");
-  EXPECT_TRUE(fs.empty()) << fs[0].message;
-}
-
-TEST(LintLpState, AllowAnnotationSuppresses) {
-  const auto fs = lint::lint_source(
-      "src/runtime/x.cpp",
-      "sim::LpLane lane;  // wfens-lint: allow(lp-state-outside-simengine)\n");
-  EXPECT_TRUE(fs.empty());
-}
-
 // -- best-arm search state outside the scheduler ------------------------------
 
 TEST(LintArmState, ArmStatsUseOutsideSchedCaught) {
@@ -416,9 +376,6 @@ TEST(LintClassify, PathsScopeTheRules) {
   EXPECT_TRUE(lint::classify_path("src/obs/export.cpp").exporter);
   EXPECT_TRUE(lint::classify_path("src/metrics/trace_io.cpp").exporter);
   EXPECT_FALSE(lint::classify_path("src/metrics/trace.cpp").exporter);
-  EXPECT_TRUE(lint::classify_path("src/runtime/x.cpp").in_runtime);
-  EXPECT_TRUE(lint::classify_path("src/metrics/trace.cpp").in_metrics);
-  EXPECT_FALSE(lint::classify_path("src/sched/x.cpp").in_runtime);
   EXPECT_TRUE(lint::classify_path("src/core/x.hpp").header);
   EXPECT_FALSE(lint::classify_path("src/core/x.cpp").header);
 }

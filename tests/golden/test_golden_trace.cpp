@@ -50,6 +50,12 @@ struct Scenario {
   double stage_error_prob;  ///< 0 = fault-free scenario
 };
 
+// Print a scenario by its name. Without this, GoogleTest prints the raw
+// bytes of the struct — including the string pointers, which move with
+// every build under ASLR — and the registered ctest names would change
+// from one build to the next.
+void PrintTo(const Scenario& sc, std::ostream* os) { *os << sc.name; }
+
 // Two scenarios: a pristine replay and a faulted one exercising the
 // resilience paths (transient faults + retry recovery), so the goldens
 // cover both the fault-free fast path and the attempt/backoff machinery.

@@ -1,6 +1,6 @@
 // Cross-scheduler PlanOptions contract: every replay-guided scheduler must
-// honor the same knobs the same way — thread count and replay engine never
-// change the outcome, stochastic probes draw probe_samples seeded samples,
+// honor the same knobs the same way — the thread count never changes the
+// outcome, stochastic probes draw probe_samples seeded samples,
 // the risk-aware path composes with all of it, and a shared EvalCache only
 // changes what a plan costs, never what it picks.
 #include "sched/scheduler.hpp"
@@ -46,16 +46,6 @@ TEST_P(ReplayGuidedSchedulers, ThreadCountNeverChangesTheStochasticPlan) {
     EXPECT_EQ(schedule.samples, reference.samples)
         << GetParam() << " threads=" << threads;
   }
-}
-
-TEST_P(ReplayGuidedSchedulers, ReplayEngineNeverChangesThePlan) {
-  PlanOptions seq = stochastic();
-  seq.engine = rt::EngineSelection::parse("seq");
-  PlanOptions lp = stochastic();
-  lp.engine = rt::EngineSelection::parse("lp:2");
-  EXPECT_EQ(rt::spec_to_text(plan(seq).spec),
-            rt::spec_to_text(plan(lp).spec))
-      << GetParam();
 }
 
 TEST_P(ReplayGuidedSchedulers, ProbeSamplesMultiplyTheSamplingEffort) {

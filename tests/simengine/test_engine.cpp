@@ -260,6 +260,15 @@ TEST(Engine, QueueDepthDropsImmediatelyOnCancel) {
   }
   EXPECT_EQ(e.queue_depth(), 0u);
   EXPECT_TRUE(e.empty());
+
+  // refs_held() is the other view: a cancelled ref lingers as a corpse
+  // until its tier is split, sorted or swept.
+  Engine one;
+  const EventId a = one.schedule_at(1.0, [] {});
+  one.schedule_at(2.0, [] {});
+  ASSERT_TRUE(one.cancel(a));
+  EXPECT_EQ(one.queue_depth(), 1u);
+  EXPECT_EQ(one.refs_held(), 2u);
 }
 
 TEST(Engine, CancelDuringMassChurnKeepsOrdering) {

@@ -1,6 +1,9 @@
 // Tests for string helpers and the table renderer used by the benches.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <sstream>
+
 #include "support/error.hpp"
 #include "support/str.hpp"
 #include "support/table.hpp"
@@ -37,6 +40,45 @@ TEST(Str, Join) {
   EXPECT_EQ(join({"a", "b", "c"}, ", "), "a, b, c");
   EXPECT_EQ(join({}, ","), "");
   EXPECT_EQ(join({"only"}, ","), "only");
+}
+
+TEST(Str, ParseNumberTakesWholeTokensOnly) {
+  EXPECT_EQ(parse_number<int>("42"), 42);
+  EXPECT_EQ(parse_number<int>("-7"), -7);
+  EXPECT_EQ(parse_number<long long>("-9000000000"), -9000000000LL);
+  EXPECT_EQ(parse_number<std::uint64_t>("18446744073709551615"),
+            UINT64_MAX);
+  EXPECT_EQ(parse_number<double>("0.25"), 0.25);
+  EXPECT_EQ(parse_number<double>("1e3"), 1000.0);
+  for (const char* bad : {"", "abc", "12x", " 1", "1 ", "0x10", "--1"}) {
+    EXPECT_FALSE(parse_number<int>(bad)) << "'" << bad << "'";
+    EXPECT_FALSE(parse_number<double>(bad)) << "'" << bad << "'";
+  }
+}
+
+TEST(Str, ParseNumberRejectsOutOfRangeAndNonFinite) {
+  // A negative step count must not wrap to 2^64 - 1.
+  EXPECT_FALSE(parse_number<std::uint64_t>("-1"));
+  EXPECT_FALSE(parse_number<std::uint64_t>("18446744073709551616"));
+  EXPECT_FALSE(parse_number<int>("2147483648"));
+  EXPECT_FALSE(parse_number<int>("1.5"));
+  EXPECT_FALSE(parse_number<double>("1e999"));
+  EXPECT_FALSE(parse_number<double>("inf"));
+  EXPECT_FALSE(parse_number<double>("nan"));
+}
+
+TEST(Str, ParseFlagReportsTheFlagAndToken) {
+  std::ostringstream err;
+  int value = 5;
+  EXPECT_FALSE(parse_flag("--pool", "nope", value, err));
+  EXPECT_EQ(value, 5);  // untouched on failure
+  EXPECT_EQ(err.str(), "bad value for --pool: 'nope'\n");
+
+  std::ostringstream quiet;
+  double rate = 0.0;
+  EXPECT_TRUE(parse_flag("--faults", "150", rate, quiet));
+  EXPECT_EQ(rate, 150.0);
+  EXPECT_TRUE(quiet.str().empty());
 }
 
 TEST(Table, RejectsEmptyHeader) { EXPECT_THROW(Table({}), InvalidArgument); }

@@ -34,44 +34,6 @@ SCHEMAS = {
         "replay_count": int,
         "replay_events": int,
         "replay_events_per_s": float,
-        # LP-scaling series (bench_lp_scaling, merged into the same report):
-        # the conservative LP runtime on the same C1.5 replay workload.
-        # lp_bit_identical is the acceptance gate — the bench exits nonzero
-        # on divergence, so a committed report always carries 1; the raw
-        # speedup is informational (it depends on the host's core count,
-        # see docs/PERF.md §8).
-        "lp_replay_config": str,
-        "lp_replay_count": int,
-        "lp_replay_events": int,
-        "lp_seq_events_per_s": float,
-        "lp1_events_per_s": float,
-        "lp2_events_per_s": float,
-        "lp4_events_per_s": float,
-        "lp4_speedup_vs_seq": float,
-        "lp_bit_identical": int,
-    },
-    # Component-attributed replay profile (bench_replay_profile): wall time
-    # split into engine dispatch + the three instrumented sections. The
-    # percentage fields must sum to ~100 by construction; the invariant is
-    # re-checked below so a report edited by hand (or a future field rename)
-    # cannot silently desynchronize the breakdown.
-    "replay_profile": {
-        "mode": str,
-        "replay_config": str,
-        "replay_count": int,
-        "replay_events": int,
-        "wall_s": float,
-        "engine_dispatch_ns": ("nonneg", float),
-        "interference_ns": float,
-        "stage_model_ns": float,
-        "metrics_ns": float,
-        "engine_dispatch_pct": ("nonneg", float),
-        "interference_pct": float,
-        "stage_model_pct": float,
-        "metrics_pct": float,
-        "interference_calls": int,
-        "stage_model_calls": int,
-        "metrics_calls": int,
     },
     # Google-benchmark microbenches (bench_micro): per-benchmark wall times
     # captured into one report so CI can schema-gate them alongside the
@@ -206,12 +168,6 @@ def main():
         if data["mode"] == "full" and data["sims_saved_pct"] < 30.0:
             fail(f"{path}: sims_saved_pct {data['sims_saved_pct']:.1f} below "
                  f"the committed full-mode floor of 30")
-    if bench == "replay_profile":
-        pct_sum = (data["engine_dispatch_pct"] + data["interference_pct"] +
-                   data["stage_model_pct"] + data["metrics_pct"])
-        if abs(pct_sum - 100.0) > 0.5:
-            fail(f"{path}: section percentages sum to {pct_sum:.3f}, "
-                 f"expected ~100")
 
     print(f"check_bench_json: OK ({path}: bench={bench},"
           f" mode={data['mode']})")

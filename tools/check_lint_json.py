@@ -29,8 +29,8 @@ KNOWN_RULES = {
     "pragma-once",
     "include-parent",
     "iostream-in-header",
+    "arm-state-outside-sched",
     "stage-record-outside-runtime",
-    "lp-state-outside-simengine",
     # Whole-project passes.
     "layer-manifest",
     "layer-unknown-module",

@@ -18,7 +18,6 @@
 // the standard paper-shaped demands through the same shared EvalCache, so
 // probes one scheduler already paid for show up as shared-tier hits in the
 // next one's cost column (e.g. bai-search planning warm after exhaustive).
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -62,7 +61,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--threads" && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
+      if (!parse_flag(arg, argv[++i], threads, std::cerr)) return 2;
       if (threads < 1) threads = 1;
     } else if (arg == "--units" && i + 1 < argc) {
       unit_filter = split_csv(argv[++i]);

@@ -1,6 +1,7 @@
 #include "wfens_lint/lint.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <cstdio>
 #include <fstream>
@@ -267,8 +268,83 @@ bool on_include_line(std::string_view mask, std::size_t i) {
   return mask.compare(p, 8, "#include") == 0;
 }
 
+/// Scope of a private-type row: every scanned file, or src/ only.
+enum class Scope { kAllFiles, kSrcOnly };
+
+/// One private type: identifiers only their owning modules may name.
+/// `#include` lines are always exempt. In `message`, "{}" stands for the
+/// identifier found.
+struct PrivateType {
+  std::string_view rule;
+  std::string_view idents;  ///< space-separated
+  std::string_view owners;  ///< space-separated path prefixes
+  Scope scope;
+  /// Report only constructions and declarations (`T{...}`, `T name`), so
+  /// references, pointers and template arguments stay legal everywhere.
+  bool construction_only;
+  std::string_view message;
+};
+
+/// Module privacy in one table; a new private type costs one row.
+///  * sim::Engine is the single event scheduler: ad-hoc queues would fork
+///    its ordering semantics (seq tie-break, cancellation).
+///  * ArmStats and the exploration log are best-arm search bookkeeping
+///    whose confidence bounds hold only under src/sched/'s feeding
+///    discipline (seed order, one thread, matching log).
+///  * The replay records stages through the columnar StageColumns;
+///    per-event StageRecord construction elsewhere in src/ brings back the
+///    AoS hot path.
+constexpr std::array<PrivateType, 3> kPrivateTypes{{
+    {"event-queue-outside-simengine",
+     "priority_queue push_heap pop_heap make_heap sort_heap", "src/simengine/",
+     Scope::kAllFiles, false,
+     "{}: ad-hoc event queues fragment the schedule semantics (seq "
+     "tie-break, cancellation); schedule through sim::Engine instead"},
+    {"arm-state-outside-sched", "ArmStats exploration_log", "src/sched/",
+     Scope::kAllFiles, false,
+     "{} is best-arm search internal state; outside src/sched/ plan through "
+     "make_scheduler(\"bai-search\") instead of sampling arms directly"},
+    {"stage-record-outside-runtime", "StageRecord",
+     "src/runtime/ src/metrics/", Scope::kSrcOnly, true,
+     "per-event StageRecord construction outside src/runtime/ and "
+     "src/metrics/ reintroduces the AoS hot path; record stages through "
+     "met::StageColumns instead"},
+}};
+
+/// Calls `fn` on each word of a space-separated list until it returns
+/// true; returns whether any did.
+template <typename Fn>
+bool any_word(std::string_view list, Fn fn) {
+  while (!list.empty()) {
+    const std::size_t sp = list.find(' ');
+    if (fn(list.substr(0, sp))) return true;
+    if (sp == std::string_view::npos) break;
+    list.remove_prefix(sp + 1);
+  }
+  return false;
+}
+
+/// The row that makes `ident` private, or null.
+const PrivateType* private_type(std::string_view ident) {
+  for (const PrivateType& type : kPrivateTypes) {
+    if (any_word(type.idents,
+                 [&](std::string_view word) { return word == ident; })) {
+      return &type;
+    }
+  }
+  return nullptr;
+}
+
+/// `path` with forward slashes, the form rule scopes are written in.
+std::string with_slashes(std::string_view path) {
+  std::string p(path);
+  std::replace(p.begin(), p.end(), '\\', '/');
+  return p;
+}
+
 struct RuleContext {
   std::string_view path;
+  std::string_view slashed_path;  ///< `path` through with_slashes()
   std::string_view content;
   std::string_view mask;
   FileClass cls;
@@ -281,6 +357,29 @@ struct RuleContext {
                            std::move(message)});
   }
 };
+
+/// Report `ident` (spanning [at, end) of the mask) when `type` makes it
+/// private to modules other than this file's.
+void check_private(const RuleContext& ctx, const PrivateType& type,
+                   std::string_view ident, std::size_t at, std::size_t end,
+                   int line) {
+  if (type.scope == Scope::kSrcOnly && !ctx.cls.in_src) return;
+  if (on_include_line(ctx.mask, at)) return;
+  if (any_word(type.owners, [&](std::string_view owner) {
+        return ctx.slashed_path.starts_with(owner);
+      })) {
+    return;
+  }
+  if (type.construction_only) {
+    const char next = next_nonspace(ctx.mask, end);
+    if (next != '{' && !is_ident_start(next)) return;
+  }
+  std::string message(type.message);
+  if (const std::size_t hole = message.find("{}"); hole != std::string::npos) {
+    message.replace(hole, 2, ident);
+  }
+  ctx.report(line, std::string(type.rule), std::move(message));
+}
 
 void scan_identifiers(const RuleContext& ctx) {
   const std::string_view s = ctx.mask;
@@ -325,15 +424,6 @@ void scan_identifiers(const RuleContext& ctx) {
       ctx.report(line, "simengine-std-function",
                  "std::function heap-allocates per callback; the event core "
                  "uses SmallFn");
-    } else if ((ident == "priority_queue" || ident == "push_heap" ||
-                ident == "pop_heap" || ident == "make_heap" ||
-                ident == "sort_heap") &&
-               !ctx.cls.in_simengine && !on_include_line(s, i)) {
-      ctx.report(line, "event-queue-outside-simengine",
-                 std::string(ident) +
-                     ": ad-hoc event queues fragment the schedule semantics "
-                     "(seq tie-break, cancellation); schedule through "
-                     "sim::Engine instead");
     } else if ((ident == "mutex" || ident == "recursive_mutex" ||
                 ident == "timed_mutex" || ident == "recursive_timed_mutex" ||
                 ident == "shared_mutex" || ident == "shared_timed_mutex" ||
@@ -352,45 +442,8 @@ void scan_identifiers(const RuleContext& ctx) {
                      " in an exporter TU: hash-order iteration leaks into "
                      "golden traces (use std::map / a vector, or annotate a "
                      "lookup-only use)");
-    } else if (ident == "LpLane" && !ctx.cls.in_simengine &&
-               !on_include_line(s, i)) {
-      // LpLane is the raw per-lane partition state (calendar queue,
-      // execution log, schedule log). Its invariants — logs appended only
-      // under the owning lane's window, merged only after run() — live in
-      // sim::ParallelEngine; code elsewhere touching a lane directly can
-      // break bit-identical replay without tripping any engine check.
-      ctx.report(line, "lp-state-outside-simengine",
-                 "LpLane is LP-partition internal state; outside "
-                 "src/simengine/ drive the partition through "
-                 "sim::ParallelEngine (schedule_root / run / replay)");
-    } else if ((ident == "ArmStats" || ident == "exploration_log") &&
-               !ctx.cls.in_sched && !on_include_line(s, i)) {
-      // ArmStats (and the exploration schedule that interprets it) is the
-      // best-arm search's confidence-bound bookkeeping. Its soundness
-      // depends on a feeding discipline the types cannot express — samples
-      // folded in seed order on one thread, bounds read only against the
-      // matching exploration log — so code outside src/sched/ consuming it
-      // directly can silently break the elimination guarantee. Ask the
-      // scheduler ("bai-search") for a plan instead.
-      ctx.report(line, "arm-state-outside-sched",
-                 std::string(ident) +
-                     " is best-arm search internal state; outside "
-                     "src/sched/ plan through make_scheduler(\"bai-search\") "
-                     "instead of sampling arms directly");
-    } else if (ident == "StageRecord" && ctx.cls.in_src &&
-               !ctx.cls.in_runtime && !ctx.cls.in_metrics &&
-               !on_include_line(s, i)) {
-      // Only constructions and declarations: `StageRecord{...}` or
-      // `StageRecord name`. References, pointers and template arguments
-      // (const StageRecord&, vector<StageRecord>) read existing records
-      // and stay legal everywhere.
-      const char next = next_nonspace(s, e);
-      if (next == '{' || is_ident_start(next)) {
-        ctx.report(line, "stage-record-outside-runtime",
-                   "per-event StageRecord construction outside src/runtime/ "
-                   "and src/metrics/ reintroduces the AoS hot path; record "
-                   "stages through met::StageColumns instead");
-      }
+    } else if (const PrivateType* type = private_type(ident)) {
+      check_private(ctx, *type, ident, i, e, line);
     }
     i = e;
   }
@@ -443,15 +496,11 @@ void scan_lines(const RuleContext& ctx) {
 
 FileClass classify_path(std::string_view relative_path) {
   FileClass cls;
-  std::string p(relative_path);
-  std::replace(p.begin(), p.end(), '\\', '/');
+  const std::string p = with_slashes(relative_path);
   cls.header = p.ends_with(".hpp");
   cls.in_src = p.starts_with("src/");
   cls.in_support = p.starts_with("src/support/");
   cls.in_simengine = p.starts_with("src/simengine/");
-  cls.in_runtime = p.starts_with("src/runtime/");
-  cls.in_metrics = p.starts_with("src/metrics/");
-  cls.in_sched = p.starts_with("src/sched/");
   cls.exporter = p.starts_with("src/obs/") ||
                  p.starts_with("src/metrics/trace_io.");
   return cls;
@@ -463,8 +512,9 @@ std::vector<Finding> run_file_rules(std::string_view relative_path,
                                     std::string_view content,
                                     std::string_view mask, AllowMap& allows) {
   std::vector<Finding> out;
-  const RuleContext ctx{relative_path, content,          mask,
-                        classify_path(relative_path), &allows, &out};
+  const std::string slashed = with_slashes(relative_path);
+  const RuleContext ctx{relative_path,          slashed, content, mask,
+                        classify_path(slashed), &allows, &out};
   scan_identifiers(ctx);
   scan_lines(ctx);
   std::stable_sort(out.begin(), out.end(),

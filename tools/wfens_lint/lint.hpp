@@ -19,13 +19,6 @@
 //                         std::function inside src/simengine/ — the event
 //                         core uses SmallFn; std::function reintroduces
 //                         per-callback heap traffic on the hot path.
-//   event-queue-outside-simengine
-//                         std::priority_queue or the raw heap algorithms
-//                         (push_heap/pop_heap/make_heap/sort_heap) outside
-//                         src/simengine/ — sim::Engine is the single event
-//                         scheduler; ad-hoc queues would fork the ordering
-//                         semantics (seq tie-break, cancellation).
-//                         #include lines are exempt.
 //   unordered-iter        any unordered_map/unordered_set use in an
 //                         exporter/trace-emitting TU (src/obs/,
 //                         src/metrics/trace_io.*): hash-order iteration
@@ -47,16 +40,18 @@
 //   stale-allow            an `// wfens-lint: allow(rule)` annotation that
 //                         suppresses no finding (whole-project runs only:
 //                         the cross-file passes must see every use first).
-//   stage-record-outside-runtime
-//                         met::StageRecord construction (brace init or a
-//                         declaration) in src/ outside src/runtime/ and
-//                         src/metrics/ — the replay hot path records
-//                         stages through the columnar StageColumns
-//                         buffer; per-event StageRecord construction
-//                         elsewhere reintroduces the AoS path the
-//                         data-oriented refactor removed. References
-//                         (const StageRecord&, vector<StageRecord>) and
-//                         #include lines are exempt.
+//   private types         one table in lint.cpp (kPrivateTypes), one rule
+//                         id per row: identifiers that only their owning
+//                         modules may name. #include lines are exempt.
+//                         event-queue-outside-simengine: std::priority_queue
+//                         and the raw heap algorithms outside
+//                         src/simengine/ (sim::Engine is the one event
+//                         scheduler). arm-state-outside-sched: ArmStats /
+//                         exploration_log outside src/sched/.
+//                         stage-record-outside-runtime: StageRecord
+//                         construction or declaration in src/ outside
+//                         src/runtime/ and src/metrics/ (stages go through
+//                         met::StageColumns; references stay legal).
 //
 // Whole-project passes (wfens_lint --root; built on the project model in
 // project.hpp, documented in docs/ANALYSIS.md):
@@ -107,9 +102,6 @@ struct FileClass {
   bool in_src = false;        ///< under src/
   bool in_support = false;    ///< under src/support/
   bool in_simengine = false;  ///< under src/simengine/
-  bool in_runtime = false;    ///< under src/runtime/
-  bool in_metrics = false;    ///< under src/metrics/
-  bool in_sched = false;      ///< under src/sched/
   bool exporter = false;      ///< trace-emitting TU set (src/obs/,
                               ///< src/metrics/trace_io.*)
 };

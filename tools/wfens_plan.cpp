@@ -20,7 +20,7 @@
 // --trace-out records scheduler activity (batch spans, per-worker
 // utilization, memo hits) as a structured run trace: .jsonl = compact span
 // log, anything else = Chrome trace_event JSON.
-#include <cstdlib>
+// A malformed or out-of-range number, positional or flag, exits 2.
 #include <iostream>
 #include <memory>
 #include <sstream>
@@ -46,9 +46,14 @@ int main(int argc, char** argv) {
                  "[--json] [--save-spec out.wfes] [--trace-out trace.json]\n";
     return 2;
   }
-  const int members = std::atoi(argv[1]);
-  const int analyses = std::atoi(argv[2]);
-  const int pool = std::atoi(argv[3]);
+  int members = 0;
+  int analyses = 0;
+  int pool = 0;
+  if (!parse_flag("members", argv[1], members, std::cerr) ||
+      !parse_flag("analyses_per_member", argv[2], analyses, std::cerr) ||
+      !parse_flag("node_pool", argv[3], pool, std::cerr)) {
+    return 2;
+  }
   std::string scheduler_name = "greedy-colocate";
   std::string save_spec_path;
   std::string trace_out_path;
@@ -59,15 +64,21 @@ int main(int argc, char** argv) {
     if (arg == "--scheduler" && i + 1 < argc) {
       scheduler_name = argv[++i];
     } else if (arg == "--threads" && i + 1 < argc) {
-      plan_options.threads = std::atoi(argv[++i]);
+      if (!parse_flag(arg, argv[++i], plan_options.threads, std::cerr)) {
+        return 2;
+      }
       if (plan_options.threads < 1) plan_options.threads = 1;
     } else if (arg == "--probe-jitter" && i + 1 < argc) {
-      plan_options.jitter_cv = std::atof(argv[++i]);
+      if (!parse_flag(arg, argv[++i], plan_options.jitter_cv, std::cerr)) {
+        return 2;
+      }
     } else if (arg == "--probe-samples" && i + 1 < argc) {
-      const long n = std::atol(argv[++i]);
+      long long n = 0;
+      if (!parse_flag(arg, argv[++i], n, std::cerr)) return 2;
       plan_options.probe_samples = n < 1 ? 1 : static_cast<std::uint64_t>(n);
     } else if (arg == "--max-samples" && i + 1 < argc) {
-      const long n = std::atol(argv[++i]);
+      long long n = 0;
+      if (!parse_flag(arg, argv[++i], n, std::cerr)) return 2;
       plan_options.max_samples = n < 0 ? 0 : static_cast<std::uint64_t>(n);
     } else if (arg == "--json") {
       json_out = true;

@@ -16,7 +16,6 @@
 // track per component, stage mnemonics as glyphs) or an obs .jsonl span
 // log saved by `wfens_run --trace-out` (tracks as recorded, including
 // engine/scheduler/DTL activity). --width sets the plot width in columns.
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
@@ -73,7 +72,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--timeline") {
       timeline = true;
     } else if (arg == "--width" && i + 1 < argc) {
-      width = std::atoi(argv[++i]);
+      if (!parse_flag(arg, argv[++i], width, std::cerr)) return 2;
     } else if (arg == "--spec" && i + 1 < argc) {
       spec_path = argv[++i];
     } else {

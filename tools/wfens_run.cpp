@@ -54,19 +54,15 @@
 //                    fault-free objective
 //   --spare N        hold N nodes of the --schedule pool back from
 //                    placement as migration headroom
-//   --engine E       replay engine for simulated runs and probe replays:
-//                    'seq' (default) or 'lp:N' — conservative parallel
-//                    discrete-event replay over N logical-process lanes;
-//                    bit-identical results either way (env WFENS_ENGINE
-//                    supplies the default when the flag is absent)
 //   --trace-out F    also record a structured run trace (engine, DTL,
 //                    scheduler, resilience activity) and write it to F:
 //                    .jsonl = compact span log, anything else = Chrome
 //                    trace_event JSON (chrome://tracing, Perfetto)
-#include <cstdlib>
+// A numeric flag with a malformed or out-of-range value exits 2.
 #include <iostream>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "metrics/trace_io.hpp"
 #include "obs/export.hpp"
@@ -77,6 +73,7 @@
 #include "sched/replanner.hpp"
 #include "sched/scheduler.hpp"
 #include "support/error.hpp"
+#include "support/str.hpp"
 #include "workload/paper_configs.hpp"
 #include "workload/presets.hpp"
 
@@ -97,8 +94,6 @@ int main(int argc, char** argv) {
                  "                 [--replication K] [--migrate "
                  "builtin|replan]\n"
                  "                 [--risk-aware] [--spare N]\n"
-                 "                 [--engine seq|lp:N] "
-                 "(or env WFENS_ENGINE)\n"
                  "                 [--trace-out trace.json|trace.jsonl]\n";
     return 2;
   }
@@ -119,53 +114,71 @@ int main(int argc, char** argv) {
   bool risk_aware = false;
   int spare_nodes = 0;
   std::string trace_out_path;
-  rt::EngineSelection engine;
   for (int i = 3; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--native") {
       native = true;
     } else if (arg == "--steps" && i + 1 < argc) {
-      steps = static_cast<std::uint64_t>(std::atoll(argv[++i]));
+      if (!parse_flag(arg, argv[++i], steps, std::cerr)) return 2;
     } else if (arg == "--save-spec" && i + 1 < argc) {
       save_spec_path = argv[++i];
     } else if (arg == "--schedule" && i + 1 < argc) {
       schedule_name = argv[++i];
     } else if (arg == "--pool" && i + 1 < argc) {
-      pool = std::atoi(argv[++i]);
+      if (!parse_flag(arg, argv[++i], pool, std::cerr)) return 2;
     } else if (arg == "--threads" && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
+      if (!parse_flag(arg, argv[++i], threads, std::cerr)) return 2;
       if (threads < 1) threads = 1;
     } else if (arg == "--probe-jitter" && i + 1 < argc) {
-      probe_jitter = std::atof(argv[++i]);
+      if (!parse_flag(arg, argv[++i], probe_jitter, std::cerr)) return 2;
     } else if (arg == "--probe-samples" && i + 1 < argc) {
-      const long long n = std::atoll(argv[++i]);
+      long long n = 0;
+      if (!parse_flag(arg, argv[++i], n, std::cerr)) return 2;
       probe_samples = n < 1 ? 1 : static_cast<std::uint64_t>(n);
     } else if (arg == "--max-samples" && i + 1 < argc) {
-      const long long n = std::atoll(argv[++i]);
+      long long n = 0;
+      if (!parse_flag(arg, argv[++i], n, std::cerr)) return 2;
       max_samples = n < 0 ? 0 : static_cast<std::uint64_t>(n);
     } else if (arg == "--faults" && i + 1 < argc) {
-      faults.node_mtbf_s = std::atof(argv[++i]);
+      if (!parse_flag(arg, argv[++i], faults.node_mtbf_s, std::cerr)) {
+        return 2;
+      }
     } else if (arg == "--stage-error-p" && i + 1 < argc) {
-      faults.stage_error_prob = std::atof(argv[++i]);
+      if (!parse_flag(arg, argv[++i], faults.stage_error_prob, std::cerr)) {
+        return 2;
+      }
     } else if (arg == "--fault-seed" && i + 1 < argc) {
-      faults.seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
+      if (!parse_flag(arg, argv[++i], faults.seed, std::cerr)) return 2;
     } else if (arg == "--node-down" && i + 1 < argc) {
-      const std::string at = argv[++i];
+      const std::string_view at = argv[++i];
       const std::size_t sep = at.find('@');
-      if (sep == std::string::npos) {
+      if (sep == std::string_view::npos) {
         std::cerr << "--node-down wants NODE@TIME (e.g. 1@40)\n";
         return 2;
       }
-      faults.node_down.push_back({std::atoi(at.substr(0, sep).c_str()),
-                                  std::atof(at.substr(sep + 1).c_str())});
+      int node = 0;
+      double time_s = 0.0;
+      if (!parse_flag(arg, at.substr(0, sep), node, std::cerr) ||
+          !parse_flag(arg, at.substr(sep + 1), time_s, std::cerr)) {
+        return 2;
+      }
+      faults.node_down.push_back({node, time_s});
     } else if (arg == "--fatal-crashes") {
       faults.crashes_are_fatal = true;
     } else if (arg == "--straggler" && i + 1 < argc) {
-      faults.straggler_mtbf_s = std::atof(argv[++i]);
+      if (!parse_flag(arg, argv[++i], faults.straggler_mtbf_s, std::cerr)) {
+        return 2;
+      }
     } else if (arg == "--net-degrade" && i + 1 < argc) {
-      faults.net_degrade_mtbf_s = std::atof(argv[++i]);
+      if (!parse_flag(arg, argv[++i], faults.net_degrade_mtbf_s,
+                      std::cerr)) {
+        return 2;
+      }
     } else if (arg == "--replication" && i + 1 < argc) {
-      recovery.chunk_replication = std::atoi(argv[++i]);
+      if (!parse_flag(arg, argv[++i], recovery.chunk_replication,
+                      std::cerr)) {
+        return 2;
+      }
     } else if (arg == "--migrate" && i + 1 < argc) {
       migrate_mode = argv[++i];
       if (migrate_mode != "builtin" && migrate_mode != "replan") {
@@ -176,26 +189,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--risk-aware") {
       risk_aware = true;
     } else if (arg == "--spare" && i + 1 < argc) {
-      spare_nodes = std::atoi(argv[++i]);
+      if (!parse_flag(arg, argv[++i], spare_nodes, std::cerr)) return 2;
     } else if (arg == "--trace-out" && i + 1 < argc) {
       trace_out_path = argv[++i];
-    } else if (arg.rfind("--engine=", 0) == 0 || arg == "--engine") {
-      std::string value;
-      if (arg == "--engine") {
-        if (i + 1 >= argc) {
-          std::cerr << "--engine wants a value (seq|lp:N)\n";
-          return 2;
-        }
-        value = argv[++i];
-      } else {
-        value = arg.substr(9);
-      }
-      try {
-        engine = rt::EngineSelection::parse(value);
-      } catch (const Error& e) {
-        std::cerr << e.what() << "\n";
-        return 2;
-      }
     } else if (arg == "--fault-policy" && i + 1 < argc) {
       const std::string policy = argv[++i];
       if (policy == "retry") {
@@ -252,7 +248,6 @@ int main(int argc, char** argv) {
     plan_options.recovery = recovery;
     plan_options.risk_aware = risk_aware;
     plan_options.spare_nodes = spare_nodes;
-    plan_options.engine = engine;
 
     if (!schedule_name.empty()) {
       // Strip the config's placement down to its demand and re-plan it.
@@ -293,7 +288,6 @@ int main(int argc, char** argv) {
       rt::SimulatedOptions options;
       options.faults = faults;
       options.recovery = recovery;
-      options.engine = engine;
       // The re-planner must outlive the executor holding its hook.
       std::unique_ptr<sched::RePlanner> replanner;
       if (migrate_mode == "replan" && faults.node_faults()) {
