@@ -16,7 +16,7 @@
 // registered once per run and move only on migration), each node carries an
 // occupancy epoch and a cached batch pricing of all its residents: the hot
 // replay path asks for `resident_cost(handle)`, which is a lookup unless the
-// node's occupancy changed since the last pricing — see PERF.md §7.
+// node's occupancy changed since the last pricing — see PERF.md §6.
 #pragma once
 
 #include <cstdint>

@@ -10,6 +10,7 @@
 #include "sched/arm_stats.hpp"
 #include "sched/batch_evaluator.hpp"
 #include "sched/candidates.hpp"
+#include "sched/exhaustive.hpp"
 #include "sched/risk.hpp"
 #include "support/error.hpp"
 
@@ -46,6 +47,15 @@ Schedule BaiSearch::plan(const EnsembleShape& shape,
               "probe-samples must be at least 1");
   const std::size_t slots = slot_count(shape);
   WFE_REQUIRE(slots <= 12, "bai-search capped at 12 components");
+  if (options.jitter_cv == 0.0) {
+    // Deterministic degenerate case: every arm's objective is a constant,
+    // so the optimal sampling rule is one probe per arm and the search IS
+    // the exhaustive reduction — same memo keys, so the two schedulers
+    // return bit-identical placements and share cache entries.
+    Schedule schedule = Exhaustive().plan(shape, platform, budget, options);
+    schedule.scheduler = name();
+    return schedule;
+  }
   // Spare nodes are held back from placement as migration headroom.
   const ResourceBudget pool{effective_pool(budget, options)};
   const RiskModel risk = RiskModel::of(options, shape.n_steps);
@@ -59,173 +69,147 @@ Schedule BaiSearch::plan(const EnsembleShape& shape,
                            options.threads);
   evaluator.attach_shared_cache(options.shared_cache);
 
-  Schedule schedule;
-  schedule.scheduler = name();
+  // Stochastic LUCB loop. The budget defaults to what the fixed-budget
+  // schedulers would spend on this candidate set.
+  std::vector<Arm> arms(candidates.size());
+  std::uint64_t sample_budget =
+      options.max_samples == 0
+          ? options.probe_samples * candidates.size()
+          : options.max_samples;
+  sample_budget = std::max<std::uint64_t>(sample_budget, arms.size());
 
-  if (options.jitter_cv == 0.0) {
-    // Deterministic degenerate case: every arm's objective is a constant,
-    // so the optimal sampling rule is one probe per arm and the search IS
-    // the exhaustive reduction. Run it with the exact same memo keys
-    // (score_assignments, no seed mixing), so the result is bit-identical
-    // to Exhaustive::plan and the two schedulers share cache entries.
-    const std::vector<BatchScore> scores =
-        evaluator.score_assignments(shape, candidates, options.probe_steps);
-    std::vector<int> doomed_used(scores.size(), 0);
-    for (std::size_t i = 0; i < scores.size(); ++i) {
-      doomed_used[i] = doomed_used_after_avoidance(
-          risk, scores[i].eval.nodes_used, pool.node_pool);
+  std::uint64_t issued = 0;
+  double reward_min = std::numeric_limits<double>::infinity();
+  double reward_max = -std::numeric_limits<double>::infinity();
+
+  // Issue one sample to each listed arm (batched: replays fan out to the
+  // worker pool, but all statistics updates happen right here on the
+  // calling thread, in arm-list order — thread count cannot perturb the
+  // search trajectory).
+  const auto sample_arms = [&](const std::vector<std::size_t>& which) {
+    std::vector<BatchEvaluator::ArmSample> requests;
+    requests.reserve(which.size());
+    for (const std::size_t a : which) {
+      requests.push_back({a, arms[a].next_index++});
     }
-    const std::vector<ScoredCandidate> scored =
-        risk_scored(scores, risk, options.probe_steps, doomed_used);
-    const auto winner = pick_winner(scored, candidates);
-    if (!winner) {
-      throw SpecError("bai-search: no feasible placement within the budget");
+    const std::vector<BatchScore> scores = evaluator.score_arm_samples(
+        shape, candidates, requests, options.probe_steps);
+    issued += requests.size();
+    for (std::size_t i = 0; i < which.size(); ++i) {
+      Arm& arm = arms[which[i]];
+      const BatchScore& score = scores[i];
+      if (!score.feasible) {
+        arm.alive = false;  // placement property: no draw can differ
+        continue;
+      }
+      if (arm.stats.n == 0) {
+        arm.doomed_used = doomed_used_after_avoidance(
+            risk, score.eval.nodes_used, pool.node_pool);
+      }
+      double reward = score.eval.objective;
+      if (risk.active()) {
+        reward = risk.adjust_objective(reward, score.eval.ensemble_makespan,
+                                       options.probe_steps,
+                                       score.eval.nodes_used,
+                                       arm.doomed_used);
+      }
+      arm.stats.add(reward);
+      arm.min_reward = std::min(arm.min_reward, reward);
+      arm.max_reward = std::max(arm.max_reward, reward);
+      reward_min = std::min(reward_min, reward);
+      reward_max = std::max(reward_max, reward);
     }
-    schedule.spec = place(
-        shape, avoid_doomed(candidates[*winner], pool.node_pool, risk));
-    schedule.samples = evaluator.evaluations() + evaluator.cache_hits();
-  } else {
-    // Stochastic LUCB loop. The budget defaults to what the fixed-budget
-    // schedulers would spend on this candidate set.
-    std::vector<Arm> arms(candidates.size());
-    std::uint64_t sample_budget =
-        options.max_samples == 0
-            ? options.probe_samples * candidates.size()
-            : options.max_samples;
-    sample_budget = std::max<std::uint64_t>(sample_budget, arms.size());
+  };
 
-    std::uint64_t issued = 0;
-    double reward_min = std::numeric_limits<double>::infinity();
-    double reward_max = -std::numeric_limits<double>::infinity();
+  // Round 0: one sample per arm, so every bound is defined.
+  std::vector<std::size_t> all(arms.size());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  sample_arms(all);
 
-    // Issue one sample to each listed arm (batched: replays fan out to the
-    // worker pool, but all statistics updates happen right here on the
-    // calling thread, in arm-list order — thread count cannot perturb the
-    // search trajectory).
-    const auto sample_arms = [&](const std::vector<std::size_t>& which) {
-      std::vector<BatchEvaluator::ArmSample> requests;
-      requests.reserve(which.size());
-      for (const std::size_t a : which) {
-        requests.push_back({a, arms[a].next_index++});
+  std::size_t leader = kNone;
+  for (;;) {
+    // Leader: highest empirical mean among survivors, ties toward the
+    // lowest index = lexicographically smallest canonical placement
+    // (pick_winner's order).
+    leader = kNone;
+    for (std::size_t a = 0; a < arms.size(); ++a) {
+      if (!arms[a].alive || arms[a].stats.n == 0) continue;
+      if (leader == kNone ||
+          arms[a].stats.mean > arms[leader].stats.mean) {
+        leader = a;
       }
-      const std::vector<BatchScore> scores = evaluator.score_arm_samples(
-          shape, candidates, requests, options.probe_steps);
-      issued += requests.size();
-      for (std::size_t i = 0; i < which.size(); ++i) {
-        Arm& arm = arms[which[i]];
-        const BatchScore& score = scores[i];
-        if (!score.feasible) {
-          arm.alive = false;  // placement property: no draw can differ
-          continue;
-        }
-        if (arm.stats.n == 0) {
-          arm.doomed_used = doomed_used_after_avoidance(
-              risk, score.eval.nodes_used, pool.node_pool);
-        }
-        double reward = score.eval.objective;
-        if (risk.active()) {
-          reward = risk.adjust_objective(reward, score.eval.ensemble_makespan,
-                                         options.probe_steps,
-                                         score.eval.nodes_used,
-                                         arm.doomed_used);
-        }
-        arm.stats.add(reward);
-        arm.min_reward = std::min(arm.min_reward, reward);
-        arm.max_reward = std::max(arm.max_reward, reward);
-        reward_min = std::min(reward_min, reward);
-        reward_max = std::max(reward_max, reward);
-      }
-    };
-
-    // Round 0: one sample per arm, so every bound is defined.
-    std::vector<std::size_t> all(arms.size());
-    std::iota(all.begin(), all.end(), std::size_t{0});
-    sample_arms(all);
-
-    std::size_t leader = kNone;
-    for (;;) {
-      // Leader: highest empirical mean among survivors, ties toward the
-      // lowest index = lexicographically smallest canonical placement
-      // (pick_winner's order).
-      leader = kNone;
-      for (std::size_t a = 0; a < arms.size(); ++a) {
-        if (!arms[a].alive || arms[a].stats.n == 0) continue;
-        if (leader == kNone ||
-            arms[a].stats.mean > arms[leader].stats.mean) {
-          leader = a;
-        }
-      }
-      if (leader == kNone) {
-        throw SpecError(
-            "bai-search: no feasible placement within the budget");
-      }
-
-      // Noise-scale estimate for the range term: the widest within-arm
-      // sample spread seen so far; before any arm has two samples, fall
-      // back to the global reward spread (wide on purpose — the first
-      // post-init round must not eliminate anything on one draw).
-      double range = 0.0;
-      bool any_resampled = false;
-      for (const Arm& arm : arms) {
-        if (arm.stats.n >= 2) {
-          any_resampled = true;
-          range = std::max(range, arm.spread());
-        }
-      }
-      if (!any_resampled) {
-        range = reward_max > reward_min ? reward_max - reward_min : 0.0;
-      }
-      const double log_term = exploration_log(issued, arms.size());
-      const double leader_lb =
-          lower_bound(arms[leader].stats, range, log_term);
-
-      // Eliminate arms the leader provably beats; among the rest find the
-      // strongest challenger (highest upper bound, ties toward the lowest
-      // index). Elimination needs a second sample on both sides — a
-      // one-draw mean says nothing about the noise it carries.
-      const bool leader_seasoned = arms[leader].stats.n >= 2;
-      std::size_t challenger = kNone;
-      double challenger_ub = -std::numeric_limits<double>::infinity();
-      for (std::size_t a = 0; a < arms.size(); ++a) {
-        if (a == leader || !arms[a].alive || arms[a].stats.n == 0) continue;
-        const double ub = upper_bound(arms[a].stats, range, log_term);
-        if (leader_seasoned && arms[a].stats.n >= 2 && ub < leader_lb) {
-          arms[a].alive = false;
-          continue;
-        }
-        if (challenger == kNone || ub > challenger_ub) {
-          challenger = a;
-          challenger_ub = ub;
-        }
-      }
-      if (challenger == kNone) break;      // leader dominates all survivors
-      if (issued >= sample_budget) break;  // budget exhausted
-
-      // LUCB step: always sample the challenger (its bound is the one
-      // blocking the stop); sample the leader too only while its own
-      // bound is at least as loose — once the leader is well pinned,
-      // re-sampling it buys nothing and the budget goes to eliminations.
-      std::vector<std::size_t> next{challenger};
-      const double leader_radius =
-          bound_radius(arms[leader].stats, range, log_term);
-      const double challenger_radius =
-          bound_radius(arms[challenger].stats, range, log_term);
-      if (sample_budget - issued >= 2 &&
-          leader_radius >= challenger_radius) {
-        next.push_back(leader);
-      }
-      sample_arms(next);
+    }
+    if (leader == kNone) {
+      throw SpecError(
+          "bai-search: no feasible placement within the budget");
     }
 
-    schedule.spec = place(
-        shape, avoid_doomed(candidates[leader], pool.node_pool, risk));
-    schedule.samples = issued;
+    // Noise-scale estimate for the range term: the widest within-arm
+    // sample spread seen so far; before any arm has two samples, fall
+    // back to the global reward spread (wide on purpose — the first
+    // post-init round must not eliminate anything on one draw).
+    double range = 0.0;
+    bool any_resampled = false;
+    for (const Arm& arm : arms) {
+      if (arm.stats.n >= 2) {
+        any_resampled = true;
+        range = std::max(range, arm.spread());
+      }
+    }
+    if (!any_resampled) {
+      range = reward_max > reward_min ? reward_max - reward_min : 0.0;
+    }
+    const double log_term = exploration_log(issued, arms.size());
+    const double leader_lb =
+        lower_bound(arms[leader].stats, range, log_term);
+
+    // Eliminate arms the leader provably beats; among the rest find the
+    // strongest challenger (highest upper bound, ties toward the lowest
+    // index). Elimination needs a second sample on both sides — a
+    // one-draw mean says nothing about the noise it carries.
+    const bool leader_seasoned = arms[leader].stats.n >= 2;
+    std::size_t challenger = kNone;
+    double challenger_ub = -std::numeric_limits<double>::infinity();
+    for (std::size_t a = 0; a < arms.size(); ++a) {
+      if (a == leader || !arms[a].alive || arms[a].stats.n == 0) continue;
+      const double ub = upper_bound(arms[a].stats, range, log_term);
+      if (leader_seasoned && arms[a].stats.n >= 2 && ub < leader_lb) {
+        arms[a].alive = false;
+        continue;
+      }
+      if (challenger == kNone || ub > challenger_ub) {
+        challenger = a;
+        challenger_ub = ub;
+      }
+    }
+    if (challenger == kNone) break;      // leader dominates all survivors
+    if (issued >= sample_budget) break;  // budget exhausted
+
+    // LUCB step: always sample the challenger (its bound is the one
+    // blocking the stop); sample the leader too only while its own
+    // bound is at least as loose — once the leader is well pinned,
+    // re-sampling it buys nothing and the budget goes to eliminations.
+    std::vector<std::size_t> next{challenger};
+    const double leader_radius =
+        bound_radius(arms[leader].stats, range, log_term);
+    const double challenger_radius =
+        bound_radius(arms[challenger].stats, range, log_term);
+    if (sample_budget - issued >= 2 &&
+        leader_radius >= challenger_radius) {
+      next.push_back(leader);
+    }
+    sample_arms(next);
   }
 
+  Schedule schedule;
+  schedule.scheduler = name();
+  schedule.spec = place(
+      shape, avoid_doomed(candidates[leader], pool.node_pool, risk));
   schedule.spec.n_steps = shape.n_steps;  // probes used fewer steps
   schedule.evaluations = evaluator.evaluations();
   schedule.cache_hits = evaluator.cache_hits();
   schedule.shared_hits = evaluator.shared_hits();
+  schedule.samples = issued;
   return schedule;
 }
 

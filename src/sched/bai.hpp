@@ -11,13 +11,13 @@
 // survivor — or the sample budget (PlanOptions::max_samples, default: what
 // the fixed-budget schedulers would spend) runs out. The saving is fewer
 // fresh probe replays for an equal-or-better expected objective
-// (bench/search_efficiency.cpp measures both).
+// (BaiSearch.SavesFreshReplaysVsFixedBudgetAtEqualQuality gates both).
 //
 // Determinism contract:
 //  * On a deterministic scenario (jitter_cv == 0) a candidate's objective
 //    is a constant, so sampling degenerates to one probe per arm and the
-//    search runs the exact exhaustive reduction — same memo keys, same
-//    canonical tie-break, bit-identical Schedule::spec (golden-gated by
+//    search is Exhaustive::plan itself — same memo keys, same canonical
+//    tie-break, bit-identical Schedule::spec (golden-gated by
 //    tests/sched/test_bai.cpp).
 //  * On stochastic scenarios each sample's replay seed derives from the
 //    arm's FNV-1a candidate digest and the sample index (see

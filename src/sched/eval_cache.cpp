@@ -4,7 +4,6 @@
 #include <charconv>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string_view>
 
@@ -202,14 +201,6 @@ std::size_t EvalCache::save(const std::string& path) const {
     throw Error(strprintf("cannot move %s into place", tmp.c_str()));
   }
   return sorted.size();
-}
-
-std::string EvalCache::default_path() {
-  if (const char* env = std::getenv("WFENS_CACHE")) return env;
-  if (const char* home = std::getenv("HOME")) {
-    return std::string(home) + "/.wfens_cache";
-  }
-  return ".wfens_cache";
 }
 
 EvalCache& EvalCache::process() {

@@ -87,10 +87,6 @@ class EvalCache {
   /// number of entries written. Throws wfe::Error when unwritable.
   std::size_t save(const std::string& path) const;
 
-  /// Default on-disk location: $WFENS_CACHE if set, else $HOME/.wfens_cache,
-  /// else ".wfens_cache" in the working directory.
-  static std::string default_path();
-
   /// The process-wide instance shared by campaign runs.
   static EvalCache& process();
 

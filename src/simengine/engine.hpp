@@ -59,10 +59,6 @@ class Engine {
  public:
   using Callback = SmallFn;
 
-  /// Pending-event-set implementation, for benchmark reports
-  /// (BENCH_engine.json `queue_policy`) and perf-trajectory diffs.
-  static constexpr const char* kQueuePolicy = "calendar";
-
   /// Current virtual time. Starts at 0.
   SimTime now() const { return now_; }
 

@@ -3,9 +3,9 @@
 // The paper's conclusion points at scheduling: "Future work will consider
 // leveraging the proposed indicators for scheduling in situ components of
 // a workflow ensemble under resource constraints." These generators feed
-// that use case (bench_placement_search, examples/placement_explorer): they
-// produce every distinct assignment of an ensemble's components to a node
-// pool, so the indicator can rank them.
+// that use case (examples/placement_explorer): they produce every distinct
+// assignment of an ensemble's components to a node pool, so the indicator
+// can rank them.
 #pragma once
 
 #include <vector>

@@ -11,6 +11,7 @@
 #include "sched/eval_cache.hpp"
 #include "sched/evaluator.hpp"
 #include "sched/exhaustive.hpp"
+#include "sched/scheduler.hpp"
 #include "support/error.hpp"
 #include "workload/presets.hpp"
 
@@ -118,20 +119,33 @@ TEST(BaiSearch, RespectsMaxSamplesBudget) {
 
 // The headline property: on a stochastic scenario the adaptive search
 // reaches the fixed-budget winner's quality with FEWER fresh replays than
-// fixed-budget exhaustive sampling spends on the same candidate set.
+// a fixed-budget baseline spends — at least 30 % fewer on every shape,
+// with a winner at least as good on the deterministic full-depth score.
 TEST(BaiSearch, SavesFreshReplaysVsFixedBudgetAtEqualQuality) {
-  const auto shape = EnsembleShape::paper_like(2, 1);
-  const Schedule bai =
-      BaiSearch().plan(shape, platform(), {3}, stochastic_options());
-  const Schedule fixed =
-      Exhaustive().plan(shape, platform(), {3}, stochastic_options());
-  EXPECT_LT(bai.evaluations, fixed.evaluations);
-  EXPECT_LT(bai.samples, fixed.samples);
+  struct Case {
+    int members, analyses, pool;
+    const char* baseline;
+  };
+  for (const Case& c : std::vector<Case>{{2, 1, 3, "greedy-refine"},
+                                         {2, 1, 3, "exhaustive"},
+                                         {3, 1, 3, "exhaustive"},
+                                         {2, 2, 4, "exhaustive"}}) {
+    const auto shape = EnsembleShape::paper_like(c.members, c.analyses);
+    const Schedule bai =
+        BaiSearch().plan(shape, platform(), {c.pool}, stochastic_options());
+    const Schedule fixed = make_scheduler(c.baseline)->plan(
+        shape, platform(), {c.pool}, stochastic_options());
+    const std::string row = std::to_string(c.members) + "x" +
+                            std::to_string(c.analyses) + "/pool" +
+                            std::to_string(c.pool) + " vs " + c.baseline;
+    EXPECT_LE(10 * bai.evaluations, 7 * fixed.evaluations) << row;
+    EXPECT_LT(bai.samples, fixed.samples) << row;
 
-  Evaluator evaluator(platform());
-  const double f_bai = evaluator.score(bai.spec).objective;
-  const double f_fixed = evaluator.score(fixed.spec).objective;
-  EXPECT_GE(f_bai + 1e-12, f_fixed);
+    Evaluator evaluator(platform());
+    EXPECT_GE(evaluator.score(bai.spec).objective,
+              evaluator.score(fixed.spec).objective)
+        << row;
+  }
 }
 
 TEST(BaiSearch, CapsComponentCount) {

@@ -256,21 +256,6 @@ TEST_F(EvalCacheFiles, SaveLeavesNoTempFileBehind) {
   EXPECT_FALSE(std::filesystem::exists(path("c") + ".tmp"));
 }
 
-TEST(EvalCache, DefaultPathHonorsEnvOverride) {
-  // WFENS_CACHE wins over $HOME; restore the environment afterwards.
-  const char* old = std::getenv("WFENS_CACHE");
-  const std::string saved = old ? old : "";
-  ::setenv("WFENS_CACHE", "/tmp/custom.cache", 1);
-  EXPECT_EQ(EvalCache::default_path(), "/tmp/custom.cache");
-  if (old) {
-    ::setenv("WFENS_CACHE", saved.c_str(), 1);
-  } else {
-    ::unsetenv("WFENS_CACHE");
-  }
-  // Without the override the path is rooted somewhere stable, not empty.
-  EXPECT_FALSE(EvalCache::default_path().empty());
-}
-
 TEST(EvalCache, ConcurrentInsertLookupIsSafe) {
   // The store is shared across scoring threads in a campaign; hammer it
   // from several writers+readers (TSan covers this via the concurrency

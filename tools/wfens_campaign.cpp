@@ -3,16 +3,16 @@
 //
 // Usage:  wfens_campaign [--threads N] [--units a,b,...] [--list]
 //                        [--plan sched1,sched2,...]
-//                        [--cache PATH | --no-cache] [--out FILE]
+//                        [--cache PATH] [--out FILE]
 //
 // Each unit (Table 2, Table 4, the C1.x figure sweep — see --list) is
 // scored by a sched::BatchEvaluator fanning replays over an
-// exec::ThreadPool. All units share one process-wide sched::EvalCache,
-// loaded from and saved back to disk (default: $WFENS_CACHE, else
-// ~/.wfens_cache), so a repeated campaign regeneration — same platform
-// fingerprint, same demand digest — re-simulates nothing. --no-cache runs
-// cold and leaves no file; --out writes a flat JSON report
-// (CAMPAIGN.json-style) for regression diffs.
+// exec::ThreadPool. With --cache PATH all units share one process-wide
+// sched::EvalCache, loaded from and saved back to PATH, so a repeated
+// campaign regeneration — same platform fingerprint, same demand digest —
+// re-simulates nothing. Without it the campaign runs cold and reads or
+// writes no file; --out writes a flat JSON report (CAMPAIGN.json-style)
+// for regression diffs.
 //
 // --plan runs the planning campaign instead: each named scheduler places
 // the standard paper-shaped demands through the same shared EvalCache, so
@@ -53,8 +53,7 @@ int main(int argc, char** argv) {
   using namespace wfe;
   int threads = 1;
   bool list = false;
-  bool use_cache = true;
-  std::string cache_path;  // empty = EvalCache::default_path()
+  std::string cache_path;  // empty = no persistent cache
   std::string out_path;
   std::vector<std::string> unit_filter;
   std::vector<std::string> plan_schedulers;
@@ -71,14 +70,12 @@ int main(int argc, char** argv) {
       list = true;
     } else if (arg == "--cache" && i + 1 < argc) {
       cache_path = argv[++i];
-    } else if (arg == "--no-cache") {
-      use_cache = false;
     } else if (arg == "--out" && i + 1 < argc) {
       out_path = argv[++i];
     } else {
       std::cerr << "usage: wfens_campaign [--threads N] [--units a,b,...] "
                    "[--list] [--plan sched1,sched2,...] "
-                   "[--cache PATH | --no-cache] [--out FILE]\n";
+                   "[--cache PATH] [--out FILE]\n";
       return 2;
     }
   }
@@ -114,13 +111,10 @@ int main(int argc, char** argv) {
     }
 
     sched::EvalCache* shared = nullptr;
-    std::string resolved_cache;
-    if (use_cache) {
+    if (!cache_path.empty()) {
       shared = &sched::EvalCache::process();
-      resolved_cache =
-          cache_path.empty() ? sched::EvalCache::default_path() : cache_path;
-      const std::size_t loaded = shared->load(resolved_cache);
-      std::cout << "cache: " << resolved_cache << " (" << loaded
+      const std::size_t loaded = shared->load(cache_path);
+      std::cout << "cache: " << cache_path << " (" << loaded
                 << " entries loaded)\n\n";
     } else {
       std::cout << "cache: disabled\n\n";
@@ -148,7 +142,7 @@ int main(int argc, char** argv) {
           "hits\n",
           plan_evals, plan_shared);
       if (shared) {
-        const std::size_t saved = shared->save(resolved_cache);
+        const std::size_t saved = shared->save(cache_path);
         std::cout << "cache: " << saved << " entries saved\n";
       }
       return 0;
@@ -186,7 +180,7 @@ int main(int argc, char** argv) {
                            total_evals, total_hits);
 
     if (shared) {
-      const std::size_t saved = shared->save(resolved_cache);
+      const std::size_t saved = shared->save(cache_path);
       std::cout << "cache: " << saved << " entries saved\n";
     }
 
