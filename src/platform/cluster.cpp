@@ -20,24 +20,6 @@ void Cluster::check_node(int node) const {
               "node index out of range for this platform");
 }
 
-StageCost Cluster::stage_cost(int node, const ComputeProfile& profile,
-                              int cores) const {
-  return stage_cost_excluding(node, profile, cores, 0);
-}
-
-StageCost Cluster::stage_cost_excluding(int node,
-                                        const ComputeProfile& profile,
-                                        int cores, std::uint64_t self) const {
-  check_node(node);
-  std::vector<ActiveStage> competitors;
-  competitors.reserve(by_node_[static_cast<std::size_t>(node)].size());
-  for (std::uint64_t h : by_node_[static_cast<std::size_t>(node)]) {
-    if (h == self) continue;
-    competitors.push_back(stage_of(h));
-  }
-  return compute_stage_cost(spec_, profile, cores, competitors);
-}
-
 const StageCost& Cluster::resident_cost(std::uint64_t handle) const {
   WFE_REQUIRE(handle >= 1 && handle <= slots_.size() &&
                   slots_[static_cast<std::size_t>(handle - 1)].live,
@@ -47,9 +29,8 @@ const StageCost& Cluster::resident_cost(std::uint64_t handle) const {
   NodeCache& cache = cache_[node];
   const auto& handles = by_node_[node];
   if (cache.epoch != node_epoch_[node]) {
-    // Reprice the whole co-location set in node order: the batch kernel's
-    // per-victim walk then sees competitors in exactly the order the scalar
-    // stage_cost_excluding() path would hand them.
+    // Reprice the whole co-location set in registration order, which is
+    // the order each victim's competitors are walked in.
     cache.stages.clear();
     cache.stages.reserve(handles.size());
     for (std::uint64_t h : handles) cache.stages.push_back(stage_of(h));

@@ -1,22 +1,25 @@
 // Stateful cluster: tracks which compute stages are active on every node and
-// prices new stages against that state.
+// prices each of them against the others on its node.
 //
-// The SimulatedExecutor drives it with a begin/end protocol:
-//   auto cost = cluster.stage_cost(node, profile, cores);   // price first
-//   auto h = cluster.begin_compute(node, profile, cores);   // then occupy
-//   ... virtual time advances by cost.seconds ...
-//   cluster.end_compute(h);
+// The SimulatedExecutor registers every component partition as a node
+// resident for the whole run and prices its stages through the resident
+// handle:
+//   auto h = cluster.begin_compute(node, profile, cores);  // occupy
+//   const StageCost& c = cluster.resident_cost(h);         // price, per stage
+//   ... virtual time advances by the priced seconds ...
+//   cluster.end_compute(h);                                // leave (migration)
 //
-// The price of a stage is fixed when it starts, based on the competitors
-// active at that instant (a standard discrete-event approximation; the
+// A resident's working set keeps occupying the shared LLC even while it
+// briefly idles, so residency, not instantaneous activity, drives
+// steady-state contention (a standard discrete-event approximation; the
 // steady-state phases the paper's model relies on make it accurate because
 // co-location sets are stable across in situ steps).
 //
 // Because co-location sets only change at begin/end_compute (residents are
 // registered once per run and move only on migration), each node carries an
-// occupancy epoch and a cached batch pricing of all its residents: the hot
-// replay path asks for `resident_cost(handle)`, which is a lookup unless the
-// node's occupancy changed since the last pricing — see PERF.md §6.
+// occupancy epoch and a cached batch pricing of all its residents:
+// `resident_cost(handle)` is a lookup unless the node's occupancy changed
+// since the last pricing — see PERF.md §6.
 #pragma once
 
 #include <cstdint>
@@ -35,25 +38,12 @@ class Cluster {
   const PlatformSpec& spec() const { return spec_; }
   int node_count() const { return spec_.node_count; }
 
-  /// Price a compute stage if it started now on `node` with `cores` cores,
-  /// against the currently active competitors on that node.
-  StageCost stage_cost(int node, const ComputeProfile& profile,
-                       int cores) const;
-
-  /// Same, but ignore the active stage `self` — used when a component is
-  /// registered as a long-lived node resident and prices its own stages
-  /// against the *other* residents (a resident's working set keeps
-  /// occupying the shared LLC even while it briefly idles, so residency,
-  /// not instantaneous activity, is what drives steady-state contention).
-  StageCost stage_cost_excluding(int node, const ComputeProfile& profile,
-                                 int cores, std::uint64_t self) const;
-
   /// Cached price of the active stage `handle` against the other active
-  /// stages of its node. Bit-identical to
-  /// `stage_cost_excluding(node, profile, cores, handle)` with the handle's
-  /// registered profile and cores; the node's whole co-location set is
-  /// priced in one `compute_stage_costs_batch` pass the first time any of
-  /// its residents asks after an occupancy change, then served from cache.
+  /// stages of its node: bitwise `compute_stage_cost` of the handle's
+  /// registered profile and cores against the node's other stages in
+  /// registration order. The node's whole co-location set is priced in one
+  /// `compute_stage_costs_batch` pass the first time any of its residents
+  /// asks after an occupancy change, then served from cache.
   const StageCost& resident_cost(std::uint64_t handle) const;
 
   /// Mark a compute stage active; returns a handle for end_compute.

@@ -10,25 +10,90 @@ namespace wfe::plat {
 
 namespace {
 
-/// Contention-free cycles-per-instruction of a profile: the base pipeline
-/// CPI plus the stall contribution of its baseline LLC misses.
-double baseline_cpi(const NodeSpec& node, const ComputeProfile& p) {
-  return 1.0 / p.base_ipc +
-         p.llc_refs_per_instr * p.base_miss_ratio * node.llc_miss_penalty_cycles;
+/// Victim-independent terms of one stage: the exact values the pricing
+/// expressions need per stage, so a batch hoists them once per stage
+/// instead of once per victim×competitor pair without changing a bit.
+struct StageTerms {
+  const ComputeProfile* profile;
+  double amdahl;   // Amdahl effective speedup on the stage's cores
+  double inv_ipc;  // contention-free pipeline CPI (1 / base IPC)
+  double ws;       // working set competing for the LLC
+};
+
+StageTerms terms_of(const ActiveStage& s) {
+  WFE_REQUIRE(s.cores > 0, "a compute stage needs at least one core");
+  WFE_REQUIRE(s.profile.instructions >= 0.0,
+              "instruction count must be >= 0");
+  return StageTerms{&s.profile,
+                    amdahl_speedup(s.cores, s.profile.parallel_fraction),
+                    1.0 / s.profile.base_ipc, s.profile.working_set_bytes};
 }
 
-/// Instruction throughput (instructions/s) of a stage given its CPI and
-/// core allocation, summed over its cores.
-double instr_rate(const NodeSpec& node, const ComputeProfile& p, int cores,
-                  double cpi) {
-  return node.core_freq_hz * amdahl_speedup(cores, p.parallel_fraction) / cpi;
-}
+/// Price stage `v` of an `n`-stage co-location set against the other
+/// stages; `at(i)` yields stage i's terms. Competitors are walked in set
+/// order, so the rounding depends only on that order.
+template <typename TermsAt>
+StageCost price_victim(const PlatformSpec& spec, std::size_t n,
+                       std::size_t v, const TermsAt& at) {
+  const NodeSpec& node = spec.node;
+  // Memory-bandwidth demand (bytes/s) of a stage missing at ratio m:
+  // instruction rate × LLC references × misses × cacheline.
+  const auto demand = [&node](const StageTerms& t, double cpi, double m) {
+    return node.core_freq_hz * t.amdahl / cpi * t.profile->llc_refs_per_instr *
+           m * node.cacheline_bytes;
+  };
+  // CPI with cache effects only: pipeline + miss stalls at ratio m.
+  const auto cache_cpi = [&node](const StageTerms& t, double m) {
+    return t.inv_ipc +
+           t.profile->llc_refs_per_instr * m * node.llc_miss_penalty_cycles;
+  };
 
-/// Memory-bandwidth demand (bytes/s) of a stage missing at ratio m.
-double bw_demand(const NodeSpec& node, const ComputeProfile& p, int cores,
-                 double cpi, double m) {
-  return instr_rate(node, p, cores, cpi) * p.llc_refs_per_instr * m *
-         node.cacheline_bytes;
+  const StageTerms vt = at(v);
+  const ComputeProfile& victim = *vt.profile;
+  // Cache pressure on the victim from everyone else on the node.
+  double other_ws = 0.0;
+  for (std::size_t j = 0; j < n; ++j) {
+    if (j != v) other_ws += at(j).ws;
+  }
+  const double m_eff = effective_miss_ratio(spec, victim, other_ws);
+
+  // Provisional CPIs with cache effects only estimate the aggregate
+  // memory-bandwidth demand (avoids a fixed-point iteration; the
+  // approximation is exact when bandwidth is unsaturated). Each
+  // competitor's own pressure includes the victim and the other
+  // competitors.
+  double total_demand = demand(vt, cache_cpi(vt, m_eff), m_eff);
+  if (spec.interference.enabled) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (j == v) continue;
+      const StageTerms ct = at(j);
+      const double m_c =
+          effective_miss_ratio(spec, *ct.profile, other_ws - ct.ws + vt.ws);
+      total_demand += demand(ct, cache_cpi(ct, m_c), m_c);
+    }
+  }
+  const double bw_factor =
+      spec.interference.enabled
+          ? std::max(1.0, total_demand / node.mem_bw_bytes_per_s)
+          : 1.0;
+
+  // Final CPI: pipeline + (possibly bandwidth-stretched) miss stalls.
+  const double cpi_eff = vt.inv_ipc + victim.llc_refs_per_instr * m_eff *
+                                          node.llc_miss_penalty_cycles *
+                                          bw_factor;
+  const double cpi_free = cache_cpi(vt, victim.base_miss_ratio);
+
+  StageCost cost;
+  cost.effective_miss_ratio = m_eff;
+  cost.slowdown = cpi_eff / cpi_free;
+  cost.seconds =
+      victim.instructions * cpi_eff / (node.core_freq_hz * vt.amdahl);
+  cost.counters.instructions = victim.instructions;
+  cost.counters.cycles = victim.instructions * cpi_eff;
+  cost.counters.llc_references =
+      victim.instructions * victim.llc_refs_per_instr;
+  cost.counters.llc_misses = cost.counters.llc_references * m_eff;
+  return cost;
 }
 
 }  // namespace
@@ -57,135 +122,28 @@ void compute_stage_costs_batch(const PlatformSpec& spec,
                                std::span<StageCost> out) {
   WFE_REQUIRE(stages.size() == out.size(),
               "batch pricing needs one output slot per stage");
-  const NodeSpec& node = spec.node;
-  const std::size_t n = stages.size();
-
-  // Victim-independent per-stage terms, hoisted once instead of once per
-  // victim×competitor pair: Amdahl effective-speedup, inverse base IPC,
-  // working set. Each is the exact value the scalar path computes inline,
-  // so reusing them cannot perturb a single bit of the result.
-  std::vector<double> amdahl(n);
-  std::vector<double> inv_ipc(n);
-  std::vector<double> ws(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    WFE_REQUIRE(stages[i].cores > 0, "a compute stage needs at least one core");
-    WFE_REQUIRE(stages[i].profile.instructions >= 0.0,
-                "instruction count must be >= 0");
-    amdahl[i] =
-        amdahl_speedup(stages[i].cores, stages[i].profile.parallel_fraction);
-    inv_ipc[i] = 1.0 / stages[i].profile.base_ipc;
-    ws[i] = stages[i].profile.working_set_bytes;
-  }
-
-  // bw_demand() with the Amdahl factor pre-computed; the expression shape
-  // (association order) mirrors instr_rate()*refs*m*cacheline exactly.
-  const auto demand = [&node](const ComputeProfile& p, double a, double cpi,
-                              double m) {
-    return node.core_freq_hz * a / cpi * p.llc_refs_per_instr * m *
-           node.cacheline_bytes;
+  std::vector<StageTerms> terms;
+  terms.reserve(stages.size());
+  for (const ActiveStage& s : stages) terms.push_back(terms_of(s));
+  const auto at = [&terms](std::size_t i) -> const StageTerms& {
+    return terms[i];
   };
-
-  for (std::size_t v = 0; v < n; ++v) {
-    const ComputeProfile& victim = stages[v].profile;
-    // Competitor working set, accumulated in set order skipping the victim
-    // — the same summation order the scalar path sees, so the rounding is
-    // identical.
-    double other_ws = 0.0;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (j != v) other_ws += ws[j];
-    }
-    const double m_eff = effective_miss_ratio(spec, victim, other_ws);
-    const double cpi_v = inv_ipc[v] + victim.llc_refs_per_instr * m_eff *
-                                          node.llc_miss_penalty_cycles;
-    double total_demand = demand(victim, amdahl[v], cpi_v, m_eff);
-    if (spec.interference.enabled) {
-      for (std::size_t j = 0; j < n; ++j) {
-        if (j == v) continue;
-        const ComputeProfile& c = stages[j].profile;
-        const double ws_seen = other_ws - ws[j] + ws[v];
-        const double m_c = effective_miss_ratio(spec, c, ws_seen);
-        const double cpi_c = inv_ipc[j] + c.llc_refs_per_instr * m_c *
-                                              node.llc_miss_penalty_cycles;
-        total_demand += demand(c, amdahl[j], cpi_c, m_c);
-      }
-    }
-    const double bw_factor =
-        spec.interference.enabled
-            ? std::max(1.0, total_demand / node.mem_bw_bytes_per_s)
-            : 1.0;
-    const double cpi_eff = inv_ipc[v] + victim.llc_refs_per_instr * m_eff *
-                                            node.llc_miss_penalty_cycles *
-                                            bw_factor;
-    const double cpi_free = inv_ipc[v] + victim.llc_refs_per_instr *
-                                             victim.base_miss_ratio *
-                                             node.llc_miss_penalty_cycles;
-    StageCost& cost = out[v];
-    cost = StageCost{};
-    cost.effective_miss_ratio = m_eff;
-    cost.slowdown = cpi_eff / cpi_free;
-    cost.seconds =
-        victim.instructions * cpi_eff / (node.core_freq_hz * amdahl[v]);
-    cost.counters.instructions = victim.instructions;
-    cost.counters.cycles = victim.instructions * cpi_eff;
-    cost.counters.llc_references =
-        victim.instructions * victim.llc_refs_per_instr;
-    cost.counters.llc_misses = cost.counters.llc_references * m_eff;
+  for (std::size_t v = 0; v < stages.size(); ++v) {
+    out[v] = price_victim(spec, stages.size(), v, at);
   }
 }
 
 StageCost compute_stage_cost(const PlatformSpec& spec,
                              const ComputeProfile& victim, int cores,
                              std::span<const ActiveStage> competitors) {
-  WFE_REQUIRE(cores > 0, "a compute stage needs at least one core");
-  WFE_REQUIRE(victim.instructions >= 0.0, "instruction count must be >= 0");
-  const NodeSpec& node = spec.node;
-
-  // Cache pressure on the victim from everyone else on the node.
-  double other_ws = 0.0;
-  for (const ActiveStage& c : competitors) other_ws += c.profile.working_set_bytes;
-  const double m_eff = effective_miss_ratio(spec, victim, other_ws);
-
-  // First pass: provisional CPIs with cache effects only, used to estimate
-  // aggregate memory-bandwidth demand (avoids a fixed-point iteration; the
-  // approximation is exact when bandwidth is unsaturated).
-  auto cache_cpi = [&](const ComputeProfile& p, double m) {
-    return 1.0 / p.base_ipc +
-           p.llc_refs_per_instr * m * node.llc_miss_penalty_cycles;
+  // The one-victim batch: the victim first, then the competitors in
+  // order. Terms are derived on the fly instead of hoisted into scratch —
+  // the same pure values, so the result is bitwise the batch's.
+  const ActiveStage self{victim, cores};
+  const auto at = [&](std::size_t i) {
+    return terms_of(i == 0 ? self : competitors[i - 1]);
   };
-
-  double total_demand = bw_demand(node, victim, cores, cache_cpi(victim, m_eff), m_eff);
-  if (spec.interference.enabled) {
-    for (const ActiveStage& c : competitors) {
-      // Each competitor's own pressure includes the victim and the other
-      // competitors.
-      const double ws_seen_by_c =
-          other_ws - c.profile.working_set_bytes + victim.working_set_bytes;
-      const double m_c = effective_miss_ratio(spec, c.profile, ws_seen_by_c);
-      total_demand +=
-          bw_demand(node, c.profile, c.cores, cache_cpi(c.profile, m_c), m_c);
-    }
-  }
-  const double bw_factor =
-      spec.interference.enabled
-          ? std::max(1.0, total_demand / node.mem_bw_bytes_per_s)
-          : 1.0;
-
-  // Final CPI: pipeline + (possibly bandwidth-stretched) miss stalls.
-  const double cpi_eff = 1.0 / victim.base_ipc +
-                         victim.llc_refs_per_instr * m_eff *
-                             node.llc_miss_penalty_cycles * bw_factor;
-  const double cpi_free = baseline_cpi(node, victim);
-
-  StageCost cost;
-  cost.effective_miss_ratio = m_eff;
-  cost.slowdown = cpi_eff / cpi_free;
-  const double speedup = amdahl_speedup(cores, victim.parallel_fraction);
-  cost.seconds = victim.instructions * cpi_eff / (node.core_freq_hz * speedup);
-  cost.counters.instructions = victim.instructions;
-  cost.counters.cycles = victim.instructions * cpi_eff;
-  cost.counters.llc_references = victim.instructions * victim.llc_refs_per_instr;
-  cost.counters.llc_misses = cost.counters.llc_references * m_eff;
-  return cost;
+  return price_victim(spec, competitors.size() + 1, 0, at);
 }
 
 }  // namespace wfe::plat

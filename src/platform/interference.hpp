@@ -56,21 +56,21 @@ double effective_miss_ratio(const PlatformSpec& spec,
 
 /// Price a compute stage of `victim` on `cores` cores, co-active with
 /// `competitors` on the same node. The victim must NOT be in `competitors`.
+/// This is the one-victim form of compute_stage_costs_batch (the victim
+/// first, then the competitors in order) and allocates nothing.
 StageCost compute_stage_cost(const PlatformSpec& spec,
                              const ComputeProfile& victim, int cores,
                              std::span<const ActiveStage> competitors);
 
 /// Batched form: price every stage of one node's co-location set against
-/// the others in a single pass over flat arrays. `out[i]` is bit-identical
-/// to `compute_stage_cost(spec, stages[i].profile, stages[i].cores,
-/// stages-without-i)` — the per-victim accumulation walks the set in the
-/// same order and with the same expression shapes as the scalar entry
-/// point, so caching layers (Cluster::resident_cost) can switch between
-/// the two without disturbing golden traces. Victim-independent terms
-/// (Amdahl speedups, contention-free CPIs, working sets) are hoisted and
-/// computed once per stage instead of once per victim×competitor pair.
-/// Requires out.size() == stages.size(). Only runs when a node's occupancy
-/// changes (cold path), so it may allocate its per-stage scratch.
+/// the others. Both entry points run the same pricing body, walking the
+/// competitors in set order, so `out[i]` is bitwise equal to
+/// `compute_stage_cost(spec, stages[i].profile, stages[i].cores,
+/// stages-without-i)`. Victim-independent terms (Amdahl speedups,
+/// contention-free CPIs, working sets) are hoisted and computed once per
+/// stage instead of once per victim×competitor pair. Requires out.size()
+/// == stages.size(). Only runs when a node's occupancy changes (cold path,
+/// see Cluster::resident_cost), so it may allocate its per-stage scratch.
 void compute_stage_costs_batch(const PlatformSpec& spec,
                                std::span<const ActiveStage> stages,
                                std::span<StageCost> out);

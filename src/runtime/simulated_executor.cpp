@@ -271,8 +271,7 @@ plat::StageCost ComponentFootprint::priced(Replay& rp) const {
     // Cached co-location pricing: the cluster reprices a node's whole
     // resident set in one batch pass only when its occupancy epoch moved
     // (residencies change at init and migration, not per stage), so the
-    // steady-state cost here is a lookup — bit-identical to the scalar
-    // stage_cost_excluding call it replaces.
+    // steady-state cost here is a lookup.
     const plat::StageCost& c = rp.cluster.resident_cost(p.residency);
     worst_slowdown = std::max(worst_slowdown, c.slowdown);
     total.counters += c.counters;

@@ -10,25 +10,23 @@
 // monotonically increasing sequence number breaks ties), so simulations are
 // reproducible bit-for-bit regardless of container or load.
 //
-// Hot-path layout: the pending set is a two-tier calendar/ladder queue over
-// an entry arena, not a binary heap.
+// Layout: the pending set is a binary min-heap of refs over an entry arena.
 //
 //  * Callbacks live in a slot arena (`fns_`): one SmallFn per slot, slots
 //    recycled through a free-list, liveness tracked by a per-slot
 //    generation (an EventId is a (slot, generation) pair; cancellation or
 //    dispatch bumps the generation, so stale handles are inert).
-//  * The queue tiers hold 24-byte trivially-copyable refs (time, seq,
-//    slot, gen) — scheduling, splitting and sorting never move a callback;
-//    a SmallFn is moved exactly twice: into its slot and out at dispatch.
-//  * `near_` is a batch of the soonest refs, sorted descending so dispatch
-//    is pop_back. `rungs_` are lazily-split bucket arrays covering the
-//    middle distance. `far_` is an unsorted overflow for the far future.
-//    New events append to `far_` in O(1); when `near_` drains, the next
-//    bucket (or `far_` itself) is split or sorted into the next batch, so
-//    ordering work is O(log batch) amortized per event and touches only
-//    refs near their dispatch time. Cancelled refs are dropped when the
-//    tier holding them is split/sorted, or by a global sweep once corpses
+//  * The heap holds 24-byte trivially-copyable refs (time, seq, slot, gen)
+//    ordered by (time, seq) — a strict total order, so dispatch order is
+//    fully determined. Sifting never moves a callback; a SmallFn is moved
+//    exactly twice: into its slot and out at dispatch.
+//  * Cancellation is lazy: a cancelled ref stays in the heap until it
+//    surfaces at the top, or until a sweep drops every corpse once they
 //    outnumber live events.
+//
+// One engine lives per replay and holds a handful of pending events (one
+// per component), so a plain heap is all the ordering work needs — see
+// docs/PERF.md §4.
 //
 // Steady state (every vector at its high-water capacity) performs zero heap
 // allocations across schedule/cancel/step — see
@@ -82,21 +80,16 @@ class Engine {
   void run_until(SimTime t);
 
   bool empty() const { return pending_ == 0; }
+  /// Live pending events — cancellation takes effect here immediately.
   std::size_t pending() const { return pending_; }
   std::uint64_t events_processed() const { return processed_; }
 
-  /// Live pending events — cancellation takes effect here immediately.
-  /// (Historically this reported internal queue entries including
-  /// lazily-deleted corpses; diagnostics that want that number use
-  /// refs_held().)
-  std::size_t queue_depth() const { return pending_; }
-
-  /// Queue refs currently held across all tiers, including cancelled ones
-  /// not yet collected. Diagnostics only: dead refs are dropped when their
-  /// tier is split or sorted, and a global sweep bounds this at a constant
-  /// factor of pending(), so cancel-heavy runs (fault injection kills
-  /// in-flight events en masse) cannot grow the queue without bound.
-  std::size_t refs_held() const { return refs_held_; }
+  /// Heap refs currently held, including cancelled ones not yet collected.
+  /// Diagnostics only: dead refs are dropped when they reach the top, and
+  /// a sweep bounds this at max(64, 2 * pending()), so cancel-heavy runs
+  /// (fault injection kills in-flight events en masse) cannot grow the
+  /// queue without bound.
+  std::size_t refs_held() const { return heap_.size(); }
 
   /// Arena slots ever created (high-water mark of concurrently pending
   /// events). Diagnostics for the reuse tests: steady-state workloads must
@@ -118,9 +111,9 @@ class Engine {
   /// `engine.queue_depth` emission per this many dispatched events.
   static constexpr std::uint64_t kObsEventStride = 64;
 
-  /// Queue entry: everything ordering needs, nothing dispatch owns. The
-  /// callback stays in the arena; refs are trivially copyable so tier
-  /// moves, sorts and splits are flat memory operations.
+  /// Heap entry: everything ordering needs, nothing dispatch owns. The
+  /// callback stays in the arena; refs are trivially copyable so sifts are
+  /// flat memory operations.
   struct Ref {
     SimTime time;
     std::uint64_t seq;  // tie-break: FIFO among equal timestamps
@@ -128,25 +121,13 @@ class Engine {
     std::uint32_t gen;
   };
 
-  /// Descending (time, seq): sorted ranges dispatch from the back.
+  /// Heap order: "a fires after b". std::push_heap/pop_heap build a
+  /// max-heap under this, so the soonest (time, seq) sits at front().
   struct RefLater {
     bool operator()(const Ref& a, const Ref& b) const {
       if (a.time != b.time) return a.time > b.time;
       return a.seq > b.seq;
     }
-  };
-
-  /// One ladder rung: `nbuckets` equal-width buckets over [start, limit).
-  /// `cursor` is the next unconsumed bucket; buckets below it are spent.
-  /// Rung objects (and their bucket vectors) are pooled in `rungs_` and
-  /// reused across spawns so steady-state splitting never allocates.
-  struct Rung {
-    SimTime start = 0.0;
-    SimTime width = 0.0;
-    SimTime limit = 0.0;
-    std::size_t cursor = 0;
-    std::size_t nbuckets = 0;
-    std::vector<std::vector<Ref>> buckets;
   };
 
   /// A ref is pending iff its stamped generation is the slot's current one.
@@ -155,34 +136,19 @@ class Engine {
   /// Invalidate a slot's outstanding id and recycle it.
   void retire(std::uint32_t slot);
 
-  /// File a ref into the tier covering its timestamp.
-  void route(const Ref& r);
+  /// Pop dead refs off the top. Returns false when no live event remains.
+  bool settle();
 
-  /// Bucket index for `t` in `g`, clamped to [cursor, nbuckets).
-  std::size_t bucket_index(const Rung& g, SimTime t) const;
-
-  /// Refill `near_` from the rungs / far tier until it holds a live ref.
-  /// Returns false when no live events remain anywhere.
-  bool ensure_near();
-
-  /// Distribute `refs` over a fresh (pooled) finest rung spanning
-  /// [lo, hi). Caller guarantees a usable positive bucket width.
-  void spawn_rung(const std::vector<Ref>& refs, SimTime lo, SimTime hi);
-
-  /// Sort `bucket`'s survivors into `near_` as the next dispatch batch.
-  void fill_near(std::vector<Ref>& bucket);
-
-  /// Drop dead refs from every tier when corpses dominate the queue.
+  /// Drop dead refs from the heap when corpses dominate it.
   void sweep_if_mostly_dead();
 
-  /// Pop the back of `near_` (must be live) and run its callback.
-  void dispatch_back();
+  /// Pop the top of the heap (must be live) and run its callback.
+  void dispatch_top();
 
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;
   std::size_t pending_ = 0;
-  std::size_t refs_held_ = 0;
   bool obs_ = true;
 
   // Entry arena: per-slot callback storage + generation stamps.
@@ -190,11 +156,8 @@ class Engine {
   std::vector<std::uint32_t> generations_;
   std::vector<std::uint32_t> free_slots_;
 
-  // Queue tiers.
-  std::vector<Ref> near_;    // sorted descending; back = next to fire
-  std::vector<Rung> rungs_;  // rung pool; [0, active_rungs_) are live,
-  std::size_t active_rungs_ = 0;  // coarsest first, finest last
-  std::vector<Ref> far_;     // unsorted overflow beyond every rung
+  // Min-heap on (time, seq); front() fires next.
+  std::vector<Ref> heap_;
 };
 
 }  // namespace wfe::sim

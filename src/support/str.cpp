@@ -77,9 +77,9 @@ std::optional<T> parse_number(std::string_view token) {
 
 template <typename T>
 bool parse_flag(std::string_view flag, std::string_view token, T& out,
-                std::ostream& err) {
+                std::ostream& err, std::type_identity_t<T> min) {
   const std::optional<T> value = parse_number<T>(token);
-  if (!value) {
+  if (!value || *value < min) {
     err << "bad value for " << flag << ": '" << token << "'\n";
     return false;
   }
@@ -92,12 +92,12 @@ template std::optional<long long> parse_number(std::string_view);
 template std::optional<std::uint64_t> parse_number(std::string_view);
 template std::optional<double> parse_number(std::string_view);
 template bool parse_flag(std::string_view, std::string_view, int&,
-                         std::ostream&);
+                         std::ostream&, int);
 template bool parse_flag(std::string_view, std::string_view, long long&,
-                         std::ostream&);
+                         std::ostream&, long long);
 template bool parse_flag(std::string_view, std::string_view, std::uint64_t&,
-                         std::ostream&);
+                         std::ostream&, std::uint64_t);
 template bool parse_flag(std::string_view, std::string_view, double&,
-                         std::ostream&);
+                         std::ostream&, double);
 
 }  // namespace wfe

@@ -4,9 +4,11 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace wfe {
@@ -37,9 +39,11 @@ template <typename T>
 std::optional<T> parse_number(std::string_view token);
 
 /// parse_number for a command-line flag: stores the value in `out`, or
-/// writes "bad value for FLAG: 'TOKEN'" to `err` and returns false.
+/// writes "bad value for FLAG: 'TOKEN'" to `err` and returns false. A value
+/// below `min` is out of range and reported the same way.
 template <typename T>
 bool parse_flag(std::string_view flag, std::string_view token, T& out,
-                std::ostream& err);
+                std::ostream& err,
+                std::type_identity_t<T> min = std::numeric_limits<T>::lowest());
 
 }  // namespace wfe

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
 
 #include "support/error.hpp"
 
@@ -36,7 +37,7 @@ TEST(Cluster, NodeCountExposed) {
 
 TEST(Cluster, RejectsOutOfRangeNode) {
   Cluster c(spec(2));
-  EXPECT_THROW((void)c.stage_cost(2, profile(), 1), InvalidArgument);
+  EXPECT_THROW((void)c.occupancy_epoch(2), InvalidArgument);
   EXPECT_THROW((void)c.begin_compute(-1, profile(), 1), InvalidArgument);
   EXPECT_THROW((void)c.active_count(5), InvalidArgument);
 }
@@ -69,28 +70,33 @@ TEST(Cluster, EndTwiceThrows) {
 
 TEST(Cluster, StageCostSeesCoLocatedCompetitors) {
   Cluster c(spec());
-  const StageCost alone = c.stage_cost(0, profile(), 8);
+  const auto h = c.begin_compute(0, profile(), 8);
+  const StageCost alone = c.resident_cost(h);
   c.begin_compute(0, profile(100e6), 8);
-  const StageCost shared = c.stage_cost(0, profile(), 8);
+  const StageCost shared = c.resident_cost(h);
   EXPECT_GT(shared.seconds, alone.seconds);
 }
 
 TEST(Cluster, StageCostIgnoresOtherNodes) {
   Cluster c(spec());
-  const StageCost alone = c.stage_cost(0, profile(), 8);
+  const auto h = c.begin_compute(0, profile(), 8);
+  const StageCost alone = c.resident_cost(h);
   c.begin_compute(1, profile(100e6), 8);
-  const StageCost still_alone = c.stage_cost(0, profile(), 8);
+  const StageCost still_alone = c.resident_cost(h);
   EXPECT_DOUBLE_EQ(alone.seconds, still_alone.seconds);
 }
 
 TEST(Cluster, StageCostExcludingSelfResidency) {
   Cluster c(spec());
   const auto self = c.begin_compute(0, profile(200e6), 8);
-  // Excluding the residency handle prices as if the node were empty.
-  const StageCost excl = c.stage_cost_excluding(0, profile(), 8, self);
+  // A resident never competes with itself: alone on its node it prices as
+  // if the node were empty.
+  const StageCost& excl = c.resident_cost(self);
   EXPECT_DOUBLE_EQ(excl.slowdown, 1.0);
-  // Not excluding it prices against the own registered working set.
-  const StageCost incl = c.stage_cost(0, profile(), 8);
+  // Counting the own registered working set as a competitor would slow it.
+  const std::vector<ActiveStage> own{{profile(200e6), 8}};
+  const StageCost incl =
+      compute_stage_cost(c.spec(), profile(200e6), 8, own);
   EXPECT_GT(incl.seconds, excl.seconds);
 }
 
@@ -116,7 +122,7 @@ TEST(Cluster, OccupancyEpochMovesOnlyWhenTheNodeChanges) {
   EXPECT_EQ(c.occupancy_epoch(1), e1) << "other nodes stay untouched";
   const auto after_begin = c.occupancy_epoch(0);
   // Pricing reads never move the epoch.
-  (void)c.stage_cost(0, profile(), 2);
+  (void)c.resident_cost(h);
   (void)c.resident_cost(h);
   EXPECT_EQ(c.occupancy_epoch(0), after_begin);
   c.end_compute(h);
@@ -124,29 +130,35 @@ TEST(Cluster, OccupancyEpochMovesOnlyWhenTheNodeChanges) {
 }
 
 TEST(Cluster, ResidentCostMatchesScalarExcludingBitwise) {
-  // The cached batch pricing must be bitwise equal to the scalar
-  // stage_cost_excluding it replaces — across occupancy changes, which
-  // invalidate the cache and force a re-price.
+  // The cached batch pricing must be bitwise equal to compute_stage_cost
+  // of the resident against the other residents, listed by hand in
+  // registration order — across occupancy changes, which invalidate the
+  // cache and force a re-price.
   Cluster c(spec());
-  const auto h1 = c.begin_compute(0, profile(40e6), 8);
-  const auto h2 = c.begin_compute(0, profile(90e6), 4);
-  const auto check = [&](std::uint64_t h, double ws, int cores) {
+  const ActiveStage s1{profile(40e6), 8};
+  const ActiveStage s2{profile(90e6), 4};
+  const ActiveStage s3{profile(120e6), 2};
+  const auto h1 = c.begin_compute(0, s1.profile, s1.cores);
+  const auto h2 = c.begin_compute(0, s2.profile, s2.cores);
+  const auto check = [&](std::uint64_t h, const ActiveStage& self,
+                         const std::vector<ActiveStage>& others) {
     const StageCost& cached = c.resident_cost(h);
-    const StageCost scalar = c.stage_cost_excluding(0, profile(ws), cores, h);
+    const StageCost scalar =
+        compute_stage_cost(c.spec(), self.profile, self.cores, others);
     EXPECT_EQ(std::memcmp(&cached, &scalar, sizeof(StageCost)), 0);
   };
-  check(h1, 40e6, 8);
-  check(h2, 90e6, 4);
+  check(h1, s1, {s2});
+  check(h2, s2, {s1});
   // Occupancy change: a third resident arrives, both cached prices must
-  // re-price (and still match the scalar path).
-  const auto h3 = c.begin_compute(0, profile(120e6), 2);
-  check(h1, 40e6, 8);
-  check(h2, 90e6, 4);
-  check(h3, 120e6, 2);
+  // re-price (and still match the hand-built competitor lists).
+  const auto h3 = c.begin_compute(0, s3.profile, s3.cores);
+  check(h1, s1, {s2, s3});
+  check(h2, s2, {s1, s3});
+  check(h3, s3, {s1, s2});
   // And after a departure.
   c.end_compute(h2);
-  check(h1, 40e6, 8);
-  check(h3, 120e6, 2);
+  check(h1, s1, {s3});
+  check(h3, s3, {s1});
 }
 
 TEST(Cluster, ResidentCostIsServedFromCacheUntilTheEpochMoves) {

@@ -216,9 +216,10 @@ std::vector<ActiveStage> fuzzed_set(std::uint64_t seed, std::size_t n) {
 TEST(StageCostBatch, BitIdenticalToScalarOnFuzzedSets) {
   // The contract Cluster::resident_cost relies on: batch pricing of a
   // node's whole co-location set must be BITWISE equal to pricing each
-  // victim with the scalar entry point against the others. memcmp on the
-  // full StageCost (all doubles, incl. synthesized counters) — any
-  // re-associated FP expression in the batch kernel fails here.
+  // victim with the one-victim entry point against the others. memcmp on
+  // the full StageCost (all doubles, incl. synthesized counters) — a
+  // victim's position in the set, or hoisted versus on-the-fly terms,
+  // must not move a bit.
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     const std::size_t n = 1 + seed % 7;
     const std::vector<ActiveStage> set = fuzzed_set(seed, n);

@@ -244,30 +244,30 @@ TEST(Engine, QueueDepthStaysBoundedUnderChurn) {
 }
 
 TEST(Engine, QueueDepthDropsImmediatelyOnCancel) {
-  // Regression: queue_depth() used to report internal queue entries, so a
-  // lazily-deleted event still counted toward the depth until the clock
-  // reached it. The depth is the *live* pending count and must drop the
-  // moment cancel() returns.
+  // Regression: the reported depth once counted internal queue entries, so
+  // a lazily-deleted event still counted until the clock reached it.
+  // pending() is the *live* count (and what the `engine.queue_depth`
+  // counter samples): it must drop the moment cancel() returns.
   Engine e;
   std::vector<EventId> ids;
   for (int i = 0; i < 100; ++i) {
     ids.push_back(e.schedule_at(1e3 + i, [] {}));
   }
-  EXPECT_EQ(e.queue_depth(), 100u);
+  EXPECT_EQ(e.pending(), 100u);
   for (std::size_t i = 0; i < ids.size(); ++i) {
     ASSERT_TRUE(e.cancel(ids[i]));
-    ASSERT_EQ(e.queue_depth(), 100u - i - 1);  // immediate, not lazy
+    ASSERT_EQ(e.pending(), 100u - i - 1);  // immediate, not lazy
   }
-  EXPECT_EQ(e.queue_depth(), 0u);
+  EXPECT_EQ(e.pending(), 0u);
   EXPECT_TRUE(e.empty());
 
-  // refs_held() is the other view: a cancelled ref lingers as a corpse
-  // until its tier is split, sorted or swept.
+  // refs_held() is the other view: a cancelled ref lingers in the heap as
+  // a corpse until it reaches the top or is swept.
   Engine one;
   const EventId a = one.schedule_at(1.0, [] {});
   one.schedule_at(2.0, [] {});
   ASSERT_TRUE(one.cancel(a));
-  EXPECT_EQ(one.queue_depth(), 1u);
+  EXPECT_EQ(one.pending(), 1u);
   EXPECT_EQ(one.refs_held(), 2u);
 }
 

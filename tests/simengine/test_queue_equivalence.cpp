@@ -1,13 +1,14 @@
-// Differential fuzz of the calendar/ladder queue against a reference
-// binary heap, plus arena-reuse and steady-state-allocation checks.
+// Differential fuzz of the engine's ref heap over its slot arena against a
+// reference heap of its own, plus arena-reuse and steady-state-allocation
+// checks.
 //
 // The reference model is the semantics contract: a stable min-heap over
-// (time, seq) with lazy deletion — exactly the engine's historical
-// implementation. The fuzz drives both with the same randomized op stream
-// (schedule / cancel / reschedule / run_until / drain) and asserts the
-// dispatch orders are identical, including the FIFO seq tie-break at equal
-// timestamps. Any divergence in the calendar queue's routing, splitting,
-// clamping, or sweeping shows up as a mismatched pop sequence.
+// (time, seq) with lazy deletion and no slot arena. The fuzz
+// drives both with the same randomized op stream (schedule / cancel /
+// reschedule / run_until / drain) and asserts the dispatch orders are
+// identical, including the FIFO seq tie-break at equal timestamps. Any
+// divergence in the engine's slot recycling, generation stamps, corpse
+// skipping or sweeping shows up as a mismatched pop sequence.
 //
 // This TU also overrides global operator new/delete with counting hooks to
 // prove the zero-allocation steady-state claim in engine.hpp. The override
@@ -52,8 +53,8 @@ void operator delete(void* p, const std::nothrow_t&) noexcept {
 namespace wfe::sim {
 namespace {
 
-/// The pre-calendar pending-event set: a lazy-deletion binary heap keyed
-/// (time, seq). Kept minimal — this is the oracle, not a competitor.
+/// The plainest pending-event set: a lazy-deletion binary heap of entry
+/// tokens keyed (time, seq), payloads stored inline. Kept minimal — this is the oracle, not a competitor.
 class ReferenceHeap {
  public:
   // Returns a token for cancel(); tokens are never reused.
@@ -208,7 +209,7 @@ void fuzz_round(std::uint64_t seed, int ops) {
   ASSERT_EQ(engine_order, reference_order) << "final drain (seed " << seed
                                            << ")";
   EXPECT_TRUE(engine.empty());
-  EXPECT_EQ(engine.queue_depth(), 0u);
+  EXPECT_EQ(engine.pending(), 0u);
 }
 
 TEST(QueueEquivalence, MatchesReferenceHeapAcross10kRounds) {
@@ -226,13 +227,13 @@ TEST(QueueEquivalence, MatchesReferenceHeapAcross10kRounds) {
 }
 
 TEST(QueueEquivalence, SeqTieBreakSurvivesRungSplits) {
-  // A large same-timestamp cohort lands in one bucket and must come back
-  // out in scheduling order even though the split path sorts it wholesale.
+  // A large same-timestamp cohort must come back out in scheduling order:
+  // the heap is not stable, so only the seq tie-break keeps it FIFO.
   Engine e;
   e.set_obs(false);
   std::vector<int> order;
-  // Spread enough events to force rung spawning, with a same-time cohort
-  // far from the near tier.
+  // Spread enough events to make the heap deep, with a same-time cohort
+  // scheduled after them and far from the top.
   for (int i = 0; i < 2000; ++i) {
     e.schedule_at(1.0 + i, [] {});
   }
@@ -293,9 +294,9 @@ TEST(QueueEquivalence, CancelledHeapCallbacksAreDestroyed) {
 
 TEST(QueueEquivalence, SteadyStateReplayMakesZeroAllocations) {
   // The zero-allocation acceptance hook. Warm-up drives every vector in
-  // the engine to its high-water capacity (near batches, rung pools,
-  // free-list, arena); the measured window then schedules/cancels/runs a
-  // comparable workload and must not touch the global allocator at all.
+  // the engine to its high-water capacity (ref heap, free-list, arena);
+  // the measured window then schedules/cancels/runs a comparable workload
+  // and must not touch the global allocator at all.
   //
   // Callbacks capture a single pointer (inline in SmallFn) so the payload
   // itself cannot allocate.

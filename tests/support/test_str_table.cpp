@@ -79,6 +79,21 @@ TEST(Str, ParseFlagReportsTheFlagAndToken) {
   EXPECT_TRUE(parse_flag("--faults", "150", rate, quiet));
   EXPECT_EQ(rate, 150.0);
   EXPECT_TRUE(quiet.str().empty());
+
+  // Below the minimum is reported like malformed, never clamped.
+  std::ostringstream low;
+  int threads = 3;
+  EXPECT_FALSE(parse_flag("--threads", "0", threads, low, 1));
+  EXPECT_EQ(threads, 3);
+  EXPECT_EQ(low.str(), "bad value for --threads: '0'\n");
+  std::uint64_t samples = 0;
+  EXPECT_TRUE(parse_flag("--probe-samples", "1", samples, quiet, 1));
+  EXPECT_EQ(samples, 1u);
+  double cv = 1.0;
+  EXPECT_TRUE(parse_flag("--probe-jitter", "0", cv, quiet, 0.0));
+  EXPECT_EQ(cv, 0.0);
+  EXPECT_FALSE(parse_flag("--probe-jitter", "-0.5", cv, low, 0.0));
+  EXPECT_EQ(cv, 0.0);
 }
 
 TEST(Table, RejectsEmptyHeader) { EXPECT_THROW(Table({}), InvalidArgument); }

@@ -64,22 +64,23 @@ int main(int argc, char** argv) {
     if (arg == "--scheduler" && i + 1 < argc) {
       scheduler_name = argv[++i];
     } else if (arg == "--threads" && i + 1 < argc) {
-      if (!parse_flag(arg, argv[++i], plan_options.threads, std::cerr)) {
+      if (!parse_flag(arg, argv[++i], plan_options.threads, std::cerr, 1)) {
         return 2;
       }
-      if (plan_options.threads < 1) plan_options.threads = 1;
     } else if (arg == "--probe-jitter" && i + 1 < argc) {
-      if (!parse_flag(arg, argv[++i], plan_options.jitter_cv, std::cerr)) {
+      if (!parse_flag(arg, argv[++i], plan_options.jitter_cv, std::cerr,
+                      0.0)) {
         return 2;
       }
     } else if (arg == "--probe-samples" && i + 1 < argc) {
-      long long n = 0;
-      if (!parse_flag(arg, argv[++i], n, std::cerr)) return 2;
-      plan_options.probe_samples = n < 1 ? 1 : static_cast<std::uint64_t>(n);
+      if (!parse_flag(arg, argv[++i], plan_options.probe_samples, std::cerr,
+                      1)) {
+        return 2;
+      }
     } else if (arg == "--max-samples" && i + 1 < argc) {
-      long long n = 0;
-      if (!parse_flag(arg, argv[++i], n, std::cerr)) return 2;
-      plan_options.max_samples = n < 0 ? 0 : static_cast<std::uint64_t>(n);
+      if (!parse_flag(arg, argv[++i], plan_options.max_samples, std::cerr)) {
+        return 2;
+      }
     } else if (arg == "--json") {
       json_out = true;
     } else if (arg == "--save-spec" && i + 1 < argc) {

@@ -125,20 +125,15 @@ int main(int argc, char** argv) {
     } else if (arg == "--schedule" && i + 1 < argc) {
       schedule_name = argv[++i];
     } else if (arg == "--pool" && i + 1 < argc) {
-      if (!parse_flag(arg, argv[++i], pool, std::cerr)) return 2;
+      if (!parse_flag(arg, argv[++i], pool, std::cerr, 1)) return 2;
     } else if (arg == "--threads" && i + 1 < argc) {
-      if (!parse_flag(arg, argv[++i], threads, std::cerr)) return 2;
-      if (threads < 1) threads = 1;
+      if (!parse_flag(arg, argv[++i], threads, std::cerr, 1)) return 2;
     } else if (arg == "--probe-jitter" && i + 1 < argc) {
-      if (!parse_flag(arg, argv[++i], probe_jitter, std::cerr)) return 2;
+      if (!parse_flag(arg, argv[++i], probe_jitter, std::cerr, 0.0)) return 2;
     } else if (arg == "--probe-samples" && i + 1 < argc) {
-      long long n = 0;
-      if (!parse_flag(arg, argv[++i], n, std::cerr)) return 2;
-      probe_samples = n < 1 ? 1 : static_cast<std::uint64_t>(n);
+      if (!parse_flag(arg, argv[++i], probe_samples, std::cerr, 1)) return 2;
     } else if (arg == "--max-samples" && i + 1 < argc) {
-      long long n = 0;
-      if (!parse_flag(arg, argv[++i], n, std::cerr)) return 2;
-      max_samples = n < 0 ? 0 : static_cast<std::uint64_t>(n);
+      if (!parse_flag(arg, argv[++i], max_samples, std::cerr)) return 2;
     } else if (arg == "--faults" && i + 1 < argc) {
       if (!parse_flag(arg, argv[++i], faults.node_mtbf_s, std::cerr)) {
         return 2;
