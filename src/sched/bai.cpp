@@ -5,10 +5,10 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <vector>
 
 #include "sched/arm_stats.hpp"
-#include "sched/batch_evaluator.hpp"
 #include "sched/candidates.hpp"
 #include "sched/exhaustive.hpp"
 #include "sched/risk.hpp"
@@ -24,7 +24,6 @@ struct Arm {
   ArmStats stats;
   std::uint64_t next_index = 0;  ///< next sample index (seed derivation)
   bool alive = true;             ///< still a contender
-  int doomed_used = 0;           ///< risk charge, fixed by the placement
   double min_reward = std::numeric_limits<double>::infinity();
   double max_reward = -std::numeric_limits<double>::infinity();
 
@@ -39,35 +38,21 @@ Schedule BaiSearch::plan(const EnsembleShape& shape,
                          const plat::PlatformSpec& platform,
                          const ResourceBudget& budget,
                          const PlanOptions& options) const {
-  WFE_REQUIRE(!shape.members.empty(), "shape has no members");
-  WFE_REQUIRE(budget.node_pool >= 1 &&
-                  budget.node_pool <= platform.node_count,
-              "node pool must fit the platform");
-  WFE_REQUIRE(options.probe_samples >= 1,
-              "probe-samples must be at least 1");
   const std::size_t slots = slot_count(shape);
   WFE_REQUIRE(slots <= 12, "bai-search capped at 12 components");
+  PlanRun run(shape, platform, budget, options);
+  // Arms: the same candidate set exhaustive scores, in the same
+  // lexicographic canonical order — so "lowest index" is the pick_winner
+  // tie-break and the two schedulers are comparable arm for arm.
+  const std::vector<Assignment> candidates =
+      enumerate_assignments(slots, run.pool());
   if (options.jitter_cv == 0.0) {
     // Deterministic degenerate case: every arm's objective is a constant,
     // so the optimal sampling rule is one probe per arm and the search IS
     // the exhaustive reduction — same memo keys, so the two schedulers
     // return bit-identical placements and share cache entries.
-    Schedule schedule = Exhaustive().plan(shape, platform, budget, options);
-    schedule.scheduler = name();
-    return schedule;
+    return run.schedule(name(), exhaustive_winner(run, candidates));
   }
-  // Spare nodes are held back from placement as migration headroom.
-  const ResourceBudget pool{effective_pool(budget, options)};
-  const RiskModel risk = RiskModel::of(options, shape.n_steps);
-
-  // Arms: the same candidate set exhaustive scores, in the same
-  // lexicographic canonical order — so "lowest index" is the pick_winner
-  // tie-break and the two schedulers are comparable arm for arm.
-  const std::vector<Assignment> candidates =
-      enumerate_assignments(slots, pool.node_pool);
-  BatchEvaluator evaluator(platform, probe_scenario(options),
-                           options.threads);
-  evaluator.attach_shared_cache(options.shared_cache);
 
   // Stochastic LUCB loop. The budget defaults to what the fixed-budget
   // schedulers would spend on this candidate set.
@@ -92,27 +77,16 @@ Schedule BaiSearch::plan(const EnsembleShape& shape,
     for (const std::size_t a : which) {
       requests.push_back({a, arms[a].next_index++});
     }
-    const std::vector<BatchScore> scores = evaluator.score_arm_samples(
-        shape, candidates, requests, options.probe_steps);
+    const std::vector<std::optional<double>> rewards =
+        run.sample(candidates, requests);
     issued += requests.size();
     for (std::size_t i = 0; i < which.size(); ++i) {
       Arm& arm = arms[which[i]];
-      const BatchScore& score = scores[i];
-      if (!score.feasible) {
+      if (!rewards[i]) {
         arm.alive = false;  // placement property: no draw can differ
         continue;
       }
-      if (arm.stats.n == 0) {
-        arm.doomed_used = doomed_used_after_avoidance(
-            risk, score.eval.nodes_used, pool.node_pool);
-      }
-      double reward = score.eval.objective;
-      if (risk.active()) {
-        reward = risk.adjust_objective(reward, score.eval.ensemble_makespan,
-                                       options.probe_steps,
-                                       score.eval.nodes_used,
-                                       arm.doomed_used);
-      }
+      const double reward = *rewards[i];
       arm.stats.add(reward);
       arm.min_reward = std::min(arm.min_reward, reward);
       arm.max_reward = std::max(arm.max_reward, reward);
@@ -201,16 +175,7 @@ Schedule BaiSearch::plan(const EnsembleShape& shape,
     sample_arms(next);
   }
 
-  Schedule schedule;
-  schedule.scheduler = name();
-  schedule.spec = place(
-      shape, avoid_doomed(candidates[leader], pool.node_pool, risk));
-  schedule.spec.n_steps = shape.n_steps;  // probes used fewer steps
-  schedule.evaluations = evaluator.evaluations();
-  schedule.cache_hits = evaluator.cache_hits();
-  schedule.shared_hits = evaluator.shared_hits();
-  schedule.samples = issued;
-  return schedule;
+  return run.schedule(name(), candidates[leader], issued);
 }
 
 }  // namespace wfe::sched

@@ -16,9 +16,9 @@
 // Determinism contract:
 //  * On a deterministic scenario (jitter_cv == 0) a candidate's objective
 //    is a constant, so sampling degenerates to one probe per arm and the
-//    search is Exhaustive::plan itself — same memo keys, same canonical
-//    tie-break, bit-identical Schedule::spec (golden-gated by
-//    tests/sched/test_bai.cpp).
+//    search is the exhaustive reduction itself (exhaustive_winner) — same
+//    memo keys, same canonical tie-break, bit-identical Schedule::spec
+//    (golden-gated by tests/sched/test_bai.cpp).
 //  * On stochastic scenarios each sample's replay seed derives from the
 //    arm's FNV-1a candidate digest and the sample index (see
 //    BatchEvaluator::score_arm_samples), and all sampling decisions happen

@@ -39,11 +39,15 @@ BatchEvaluator::BatchEvaluator(plat::PlatformSpec platform, int threads)
 
 BatchEvaluator::BatchEvaluator(plat::PlatformSpec platform,
                                rt::SimulatedOptions scenario, int threads)
-    : pool_(threads), keys_(platform.node_count) {
+    : pool_(threads),
+      // Straggler windows are per node, so node names matter to the score.
+      keys_(platform.node_count,
+            /*relabel=*/scenario.faults.straggler_mtbf_s <= 0.0) {
   platform.validate();
   platform_fp_ = platform.fingerprint();
   scenario_fp_ = scenario_fingerprint(scenario);
   model_fp_ = model_digest();
+  stochastic_ = scenario.jitter_cv > 0.0;
   evaluators_.reserve(static_cast<std::size_t>(threads));
   for (int w = 0; w < threads; ++w) {
     evaluators_.emplace_back(platform, scenario);
@@ -155,7 +159,39 @@ std::vector<BatchScore> BatchEvaluator::score_keyed(
 
 std::vector<BatchScore> BatchEvaluator::score_assignments(
     const EnsembleShape& shape, const std::vector<Assignment>& assignments,
-    std::uint64_t probe_steps) {
+    std::uint64_t probe_steps, std::uint64_t samples) {
+  WFE_REQUIRE(samples >= 1, "need at least one sample per assignment");
+  if (stochastic_ && samples > 1) {
+    std::vector<ArmSample> requests;
+    requests.reserve(assignments.size() * samples);
+    for (std::size_t a = 0; a < assignments.size(); ++a) {
+      for (std::uint64_t k = 0; k < samples; ++k) requests.push_back({a, k});
+    }
+    const std::vector<BatchScore> draws =
+        score_arm_samples(shape, assignments, requests, probe_steps);
+    // Average each assignment's draws in index order (a fixed fp summation
+    // order keeps the means bit-stable).
+    std::vector<BatchScore> out(assignments.size());
+    const double inv = 1.0 / static_cast<double>(samples);
+    for (std::size_t a = 0; a < assignments.size(); ++a) {
+      const std::size_t base = a * samples;
+      BatchScore mean = draws[base];
+      for (std::uint64_t k = 1; k < samples; ++k) {
+        const BatchScore& d = draws[base + k];
+        mean.eval.objective += d.eval.objective;
+        mean.eval.ensemble_makespan += d.eval.ensemble_makespan;
+        mean.eval.min_member_efficiency += d.eval.min_member_efficiency;
+        mean.cached = mean.cached && d.cached;
+      }
+      if (mean.feasible) {
+        mean.eval.objective *= inv;
+        mean.eval.ensemble_makespan *= inv;
+        mean.eval.min_member_efficiency *= inv;
+      }
+      out[a] = mean;
+    }
+    return out;
+  }
   const std::size_t slots = slot_count(shape);
   const std::uint64_t plan = prefix(demand_digest(shape), probe_steps);
   std::vector<std::uint64_t> keys;
@@ -217,43 +253,6 @@ std::vector<BatchScore> BatchEvaluator::score_arm_samples(
     replay_spec(place(shape, arms[samples[i].arm]), ev, probe_steps,
                 &seeds[i], score);
   });
-}
-
-std::vector<BatchScore> BatchEvaluator::score_assignments_mean(
-    const EnsembleShape& shape, const std::vector<Assignment>& assignments,
-    std::uint64_t probe_steps, std::uint64_t samples) {
-  WFE_REQUIRE(samples >= 1, "need at least one sample per assignment");
-  std::vector<ArmSample> requests;
-  requests.reserve(assignments.size() * samples);
-  for (std::size_t a = 0; a < assignments.size(); ++a) {
-    for (std::uint64_t k = 0; k < samples; ++k) requests.push_back({a, k});
-  }
-  const std::vector<BatchScore> draws =
-      score_arm_samples(shape, assignments, requests, probe_steps);
-
-  // Average each assignment's draws in index order (fixed fp summation
-  // order keeps the means bit-stable). Feasibility and node count are
-  // placement properties — every draw agrees — so they come from draw 0.
-  std::vector<BatchScore> out(assignments.size());
-  const double inv = 1.0 / static_cast<double>(samples);
-  for (std::size_t a = 0; a < assignments.size(); ++a) {
-    const std::size_t base = a * samples;
-    BatchScore mean = draws[base];
-    for (std::uint64_t k = 1; k < samples; ++k) {
-      const BatchScore& d = draws[base + k];
-      mean.eval.objective += d.eval.objective;
-      mean.eval.ensemble_makespan += d.eval.ensemble_makespan;
-      mean.eval.min_member_efficiency += d.eval.min_member_efficiency;
-      mean.cached = mean.cached && d.cached;
-    }
-    if (mean.feasible && samples > 1) {
-      mean.eval.objective *= inv;
-      mean.eval.ensemble_makespan *= inv;
-      mean.eval.min_member_efficiency *= inv;
-    }
-    out[a] = mean;
-  }
-  return out;
 }
 
 std::size_t BatchEvaluator::evaluations() const {

@@ -57,9 +57,17 @@ class BatchEvaluator {
   /// Score place(shape, assignment) for every assignment, in order.
   /// Assignments should be canonical (see candidates.hpp); equal canonical
   /// forms in one batch are simulated once.
+  ///
+  /// Fixed-budget sampling: with `samples > 1` on a stochastic scenario
+  /// (jitter_cv > 0), each assignment's score is the mean of `samples`
+  /// seeded draws (indices 0..samples-1, the score_arm_samples() keys):
+  /// mean objective / makespan / efficiency, with nodes_used and
+  /// feasibility — placement properties — taken from the first draw.
+  /// Otherwise every assignment gets one plain replay, under the keys every
+  /// other fixed-budget caller shares.
   std::vector<BatchScore> score_assignments(
       const EnsembleShape& shape, const std::vector<Assignment>& assignments,
-      std::uint64_t probe_steps = 6);
+      std::uint64_t probe_steps = 6, std::uint64_t samples = 1);
 
   /// Score pre-built specs (the enumeration benches). Memoization keys on
   /// the spec's canonicalized placement and demand, not its name — the
@@ -96,16 +104,6 @@ class BatchEvaluator {
                             const Assignment& assignment, std::uint64_t index,
                             std::uint64_t probe_steps = 6);
 
-  /// Fixed-budget sampling: `samples` seeded draws per assignment (indices
-  /// 0..samples-1), averaged into one BatchScore per assignment (mean
-  /// objective / makespan / efficiency; nodes_used and feasibility are
-  /// placement properties, taken from the first draw). With samples == 1
-  /// on a deterministic scenario, prefer score_assignments(): same result,
-  /// but its keys are shared with every other fixed-budget caller.
-  std::vector<BatchScore> score_assignments_mean(
-      const EnsembleShape& shape, const std::vector<Assignment>& assignments,
-      std::uint64_t probe_steps, std::uint64_t samples);
-
   /// Simulated replays actually run (cache misses). Deterministic for a
   /// given call sequence, independent of the thread count.
   std::size_t evaluations() const;
@@ -116,8 +114,6 @@ class BatchEvaluator {
   std::size_t shared_hits() const { return shared_hits_; }
   /// Engine events dispatched across all replays (throughput metric).
   std::uint64_t events_processed() const;
-  std::size_t cache_size() const { return cache_.size(); }
-  int threads() const { return pool_.threads(); }
 
   /// Attach a shared evaluation store (campaign runs pass
   /// EvalCache::process()). Misses of the local memo consult it before
@@ -127,10 +123,6 @@ class BatchEvaluator {
   /// Keys are identical in both tiers, so attachment cannot change any
   /// score, only where it is found.
   void attach_shared_cache(EvalCache* shared) { shared_ = shared; }
-  EvalCache* shared_cache() const { return shared_; }
-  const plat::PlatformSpec& platform() const {
-    return evaluators_.front().platform();
-  }
 
  private:
   /// Replays batch index i with a worker's evaluator into its score slot.
@@ -153,6 +145,7 @@ class BatchEvaluator {
   std::uint64_t platform_fp_ = 0;
   std::uint64_t scenario_fp_ = 0;
   std::uint64_t model_fp_ = 0;
+  bool stochastic_ = false;  // the scenario jitters: samples can differ
   PlacementKeys keys_;
   KeyTable<CachedEval> cache_;  // local memo tier
   std::size_t cache_hits_ = 0;

@@ -82,12 +82,6 @@ std::string read_file(std::ifstream& in) {
 
 }  // namespace
 
-bool EvalCache::lookup(std::uint64_t key, CachedEval* out) const {
-  const std::optional<CachedEval> found = lookup({&key, 1}).front();
-  if (found) *out = *found;
-  return found.has_value();
-}
-
 std::vector<std::optional<CachedEval>> EvalCache::lookup(
     std::span<const std::uint64_t> keys) const {
   std::vector<std::optional<CachedEval>> out(keys.size());
@@ -95,14 +89,9 @@ std::vector<std::optional<CachedEval>> EvalCache::lookup(
   for (std::size_t i = 0; i < keys.size(); ++i) {
     if (const CachedEval* found = entries_.find(keys[i])) {
       out[i] = *found;
-      ++hits_;
     }
   }
   return out;
-}
-
-void EvalCache::insert(std::uint64_t key, const CachedEval& value) {
-  insert({&key, 1}, {&value, 1});
 }
 
 void EvalCache::insert(std::span<const std::uint64_t> keys,
@@ -117,11 +106,6 @@ void EvalCache::insert(std::span<const std::uint64_t> keys,
 std::size_t EvalCache::size() const {
   const support::RankGuard<Mutex> lock(mutex_);
   return entries_.size();
-}
-
-std::size_t EvalCache::hits() const {
-  const support::RankGuard<Mutex> lock(mutex_);
-  return hits_;
 }
 
 std::size_t EvalCache::load(const std::string& path) {

@@ -56,16 +56,10 @@ class EvalCache {
   EvalCache(const EvalCache&) = delete;
   EvalCache& operator=(const EvalCache&) = delete;
 
-  /// Look up `key`; copies the entry into `*out` and returns true on a hit.
-  bool lookup(std::uint64_t key, CachedEval* out) const;
-
   /// Look up every key under one lock acquisition: element i holds
   /// keys[i]'s entry, or nothing on a miss.
   std::vector<std::optional<CachedEval>> lookup(
       std::span<const std::uint64_t> keys) const;
-
-  /// Insert (or overwrite) an entry.
-  void insert(std::uint64_t key, const CachedEval& value);
 
   /// Insert (or overwrite) keys[i] -> values[i] for every i, under one lock
   /// acquisition.
@@ -73,8 +67,6 @@ class EvalCache {
               std::span<const CachedEval> values);
 
   std::size_t size() const;
-  /// Hits served since construction (lookups that found their key).
-  std::size_t hits() const;
 
   /// Merge entries from a cache file into memory. Returns the number of
   /// entries read; a missing file is an empty cache, and so is a file of
@@ -95,7 +87,6 @@ class EvalCache {
 
   mutable Mutex mutex_;
   KeyTable<CachedEval> entries_;  // insertion order; save() sorts a copy
-  mutable std::size_t hits_ = 0;
 };
 
 }  // namespace wfe::sched

@@ -114,13 +114,16 @@ std::uint64_t key_prefix(std::uint64_t platform_fp, std::uint64_t scenario_fp,
   return h.digest();
 }
 
-PlacementKeys::PlacementKeys(int node_count)
-    : relabel_(static_cast<std::size_t>(node_count > 0 ? node_count : 0), -1) {}
+PlacementKeys::PlacementKeys(int node_count, bool relabel)
+    : relabel_nodes_(relabel),
+      relabel_(static_cast<std::size_t>(node_count > 0 ? node_count : 0), -1) {
+}
 
 int PlacementKeys::label(int node) {
   if (node < 0 || static_cast<std::size_t>(node) >= relabel_.size()) {
     return kOutsidePool;
   }
+  if (!relabel_nodes_) return node;
   int& l = relabel_[static_cast<std::size_t>(node)];
   if (l < 0) {
     l = static_cast<int>(seen_.size());

@@ -10,7 +10,10 @@
 // The placement part is the canonical node list: per component, in place()'s
 // slot order, the component's node count and its node ids relabeled in
 // first-appearance order. On the modelled homogeneous pool, placements that
-// differ only in node naming replay identically, so they share one key. A
+// differ only in node naming replay identically, so they share one key. The
+// exception is a probe scenario with straggler windows: those open per node,
+// so there node ids are keyed unrelabeled. Canonical assignments already
+// name their nodes in first-appearance order, so they key alike both ways. A
 // spec scored through score_specs() and the assignment that places the same
 // demand the same way through score_assignments() produce the same stream,
 // hence the same key: the two entry points share cache entries.
@@ -50,11 +53,13 @@ std::uint64_t key_prefix(std::uint64_t platform_fp, std::uint64_t scenario_fp,
 
 /// Keys placements under a prefix. Node ids are relabeled through a flat
 /// table indexed by node id and reused across calls, so a key costs no
-/// allocation. Ids outside [0, node_count) all hash as one sentinel label:
-/// every spec holding one fails validation, so they all score alike.
+/// allocation. With `relabel == false` node ids are keyed as they are, for
+/// scenarios that tell nodes apart. Ids outside [0, node_count) all hash as
+/// one sentinel label either way: every spec holding one fails validation,
+/// so they all score alike.
 class PlacementKeys {
  public:
-  explicit PlacementKeys(int node_count);
+  explicit PlacementKeys(int node_count, bool relabel = true);
 
   /// One node per slot, in place()'s slot order.
   std::uint64_t of(std::uint64_t prefix, const Assignment& assignment);
@@ -77,6 +82,7 @@ class PlacementKeys {
   int label(int node);
   void clear();
 
+  bool relabel_nodes_ = true;
   std::vector<int> relabel_;  // node id -> label, -1 = not seen yet
   std::vector<int> seen_;     // ids labeled by the current key
 };

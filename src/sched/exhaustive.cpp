@@ -2,74 +2,34 @@
 
 #include <vector>
 
-#include "sched/batch_evaluator.hpp"
 #include "sched/candidates.hpp"
 #include "sched/risk.hpp"
 #include "support/error.hpp"
 
 namespace wfe::sched {
 
+const Assignment& exhaustive_winner(PlanRun& run,
+                                    const std::vector<Assignment>& candidates) {
+  const auto winner = pick_winner(run.score(candidates), candidates);
+  if (!winner) {
+    throw SpecError("exhaustive: no feasible placement within the budget");
+  }
+  return candidates[*winner];
+}
+
 Schedule Exhaustive::plan(const EnsembleShape& shape,
                           const plat::PlatformSpec& platform,
                           const ResourceBudget& budget,
                           const PlanOptions& options) const {
-  WFE_REQUIRE(!shape.members.empty(), "shape has no members");
-  WFE_REQUIRE(budget.node_pool >= 1 &&
-                  budget.node_pool <= platform.node_count,
-              "node pool must fit the platform");
   const std::size_t slots = slot_count(shape);
   WFE_REQUIRE(slots <= 12, "exhaustive search capped at 12 components");
-  // Spare nodes are held back from placement as migration headroom.
-  const ResourceBudget pool{effective_pool(budget, options)};
-  const RiskModel risk = RiskModel::of(options, shape.n_steps);
-
+  PlanRun run(shape, platform, budget, options);
   // Generate: every canonically distinct assignment, in lexicographic
   // order. Score: fan out to the worker pool, memoized. Reduce: canonical
   // winner — identical to scoring one assignment at a time in this order.
-  // Under --risk-aware the reduction ranks by risk-adjusted objective.
   const std::vector<Assignment> candidates =
-      enumerate_assignments(slots, pool.node_pool);
-  BatchEvaluator evaluator(platform, probe_scenario(options),
-                           options.threads);
-  evaluator.attach_shared_cache(options.shared_cache);
-  // Fixed budget: on a stochastic probe scenario, average probe_samples
-  // seeded draws per candidate; deterministic probes keep the historical
-  // single replay (same memo keys as every other fixed-budget caller).
-  WFE_REQUIRE(options.probe_samples >= 1, "probe-samples must be at least 1");
-  const bool stochastic =
-      options.jitter_cv > 0.0 && options.probe_samples > 1;
-  const std::vector<BatchScore> scores =
-      stochastic ? evaluator.score_assignments_mean(shape, candidates,
-                                                    options.probe_steps,
-                                                    options.probe_samples)
-                 : evaluator.score_assignments(shape, candidates,
-                                               options.probe_steps);
-
-  // Canonical candidates are relabelled off scripted-downtime nodes after
-  // the reduction (avoid_doomed), so charge each one the doomed overflow
-  // its node count would leave after that mapping.
-  std::vector<int> doomed_used(scores.size(), 0);
-  for (std::size_t i = 0; i < scores.size(); ++i) {
-    doomed_used[i] = doomed_used_after_avoidance(
-        risk, scores[i].eval.nodes_used, pool.node_pool);
-  }
-  const std::vector<ScoredCandidate> scored =
-      risk_scored(scores, risk, options.probe_steps, doomed_used);
-  const auto winner = pick_winner(scored, candidates);
-  if (!winner) {
-    throw SpecError("exhaustive: no feasible placement within the budget");
-  }
-
-  Schedule schedule;
-  schedule.spec = place(
-      shape, avoid_doomed(candidates[*winner], pool.node_pool, risk));
-  schedule.spec.n_steps = shape.n_steps;  // probes used fewer steps
-  schedule.scheduler = name();
-  schedule.evaluations = evaluator.evaluations();
-  schedule.cache_hits = evaluator.cache_hits();
-  schedule.shared_hits = evaluator.shared_hits();
-  schedule.samples = evaluator.evaluations() + evaluator.cache_hits();
-  return schedule;
+      enumerate_assignments(slots, run.pool());
+  return run.schedule(name(), exhaustive_winner(run, candidates));
 }
 
 }  // namespace wfe::sched

@@ -13,9 +13,20 @@
 // sequential search for any thread count.
 #pragma once
 
+#include <vector>
+
+#include "sched/candidates.hpp"
 #include "sched/scheduler.hpp"
 
 namespace wfe::sched {
+
+class PlanRun;
+
+/// The exhaustive reduction: the canonical winner of `candidates` under
+/// `run`'s fixed-budget, risk-adjusted scores. Throws wfe::SpecError when
+/// none is feasible. bai-search's deterministic case is exactly this.
+const Assignment& exhaustive_winner(PlanRun& run,
+                                    const std::vector<Assignment>& candidates);
 
 class Exhaustive final : public Scheduler {
  public:

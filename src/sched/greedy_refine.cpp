@@ -3,7 +3,6 @@
 #include <utility>
 #include <vector>
 
-#include "sched/batch_evaluator.hpp"
 #include "sched/candidates.hpp"
 #include "sched/greedy.hpp"
 #include "sched/risk.hpp"
@@ -15,16 +14,9 @@ Schedule GreedyRefine::plan(const EnsembleShape& shape,
                             const plat::PlatformSpec& platform,
                             const ResourceBudget& budget,
                             const PlanOptions& options) const {
-  WFE_REQUIRE(!shape.members.empty(), "shape has no members");
-  WFE_REQUIRE(budget.node_pool >= 1 &&
-                  budget.node_pool <= platform.node_count,
-              "node pool must fit the platform");
-  // Spare nodes are held back from placement as migration headroom; the
-  // search only sees the remaining pool.
-  const ResourceBudget pool{effective_pool(budget, options)};
-  const RiskModel risk = RiskModel::of(options, shape.n_steps);
-
-  // Seeds: the constructive passes, canonicalized.
+  PlanRun run(shape, platform, budget, options);
+  // Seeds: the constructive passes over the placement pool, canonicalized.
+  const ResourceBudget pool{run.pool()};
   std::vector<Assignment> seeds;
   for (auto* build : {&colocated_assignment, &sims_first_assignment}) {
     if (auto a = (*build)(shape, platform, pool)) {
@@ -40,36 +32,7 @@ Schedule GreedyRefine::plan(const EnsembleShape& shape,
         "constructive seed placement exists)");
   }
 
-  BatchEvaluator evaluator(platform, probe_scenario(options),
-                           options.threads);
-  evaluator.attach_shared_cache(options.shared_cache);
-  // Fixed budget: on a stochastic probe scenario, average probe_samples
-  // seeded draws per candidate; deterministic probes keep the historical
-  // single replay (same memo keys as every other fixed-budget caller).
-  WFE_REQUIRE(options.probe_samples >= 1, "probe-samples must be at least 1");
-  const bool stochastic =
-      options.jitter_cv > 0.0 && options.probe_samples > 1;
-  const auto score_batch = [&](const std::vector<Assignment>& batch) {
-    return stochastic ? evaluator.score_assignments_mean(
-                            shape, batch, options.probe_steps,
-                            options.probe_samples)
-                      : evaluator.score_assignments(shape, batch,
-                                                    options.probe_steps);
-  };
-  // Canonical incumbents are relabelled off scripted-downtime nodes at the
-  // end (avoid_doomed); charge each candidate the doomed overflow its node
-  // count would leave after that mapping.
-  const auto doomed_charges = [&](const std::vector<BatchScore>& batch) {
-    std::vector<int> charges(batch.size(), 0);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      charges[i] = doomed_used_after_avoidance(
-          risk, batch[i].eval.nodes_used, pool.node_pool);
-    }
-    return charges;
-  };
-  std::vector<BatchScore> scores = score_batch(seeds);
-  std::vector<ScoredCandidate> scored =
-      risk_scored(scores, risk, options.probe_steps, doomed_charges(scores));
+  std::vector<ScoredCandidate> scored = run.score(seeds);
   auto winner = pick_winner(scored, seeds);
   if (!winner) {
     throw SpecError("greedy-refine: no seed placement validates");
@@ -85,9 +48,7 @@ Schedule GreedyRefine::plan(const EnsembleShape& shape,
     const std::vector<Assignment> neighbors =
         neighbor_assignments(incumbent, pool.node_pool);
     if (neighbors.empty()) break;
-    scores = score_batch(neighbors);
-    scored = risk_scored(scores, risk, options.probe_steps,
-                         doomed_charges(scores));
+    scored = run.score(neighbors);
     winner = pick_winner(scored, neighbors);
     if (!winner || scored[*winner].objective <= incumbent_objective) {
       break;
@@ -95,17 +56,7 @@ Schedule GreedyRefine::plan(const EnsembleShape& shape,
     incumbent = neighbors[*winner];
     incumbent_objective = scored[*winner].objective;
   }
-
-  Schedule schedule;
-  schedule.spec =
-      place(shape, avoid_doomed(incumbent, pool.node_pool, risk));
-  schedule.spec.n_steps = shape.n_steps;
-  schedule.scheduler = name();
-  schedule.evaluations = evaluator.evaluations();
-  schedule.cache_hits = evaluator.cache_hits();
-  schedule.shared_hits = evaluator.shared_hits();
-  schedule.samples = evaluator.evaluations() + evaluator.cache_hits();
-  return schedule;
+  return run.schedule(name(), incumbent);
 }
 
 }  // namespace wfe::sched

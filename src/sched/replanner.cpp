@@ -99,16 +99,9 @@ int RePlanner::replan_locked(const rt::MigrationRequest& request) {
     candidates.push_back(std::move(candidate));
   }
 
-  // Same fixed-budget sampling rule as the planners: average probe_samples
-  // seeded draws per repair candidate when the probe scenario is stochastic.
-  const bool stochastic =
-      options_.jitter_cv > 0.0 && options_.probe_samples > 1;
-  const std::vector<BatchScore> batch =
-      stochastic ? evaluator_.score_assignments_mean(shape_, candidates,
-                                                     options_.probe_steps,
-                                                     options_.probe_samples)
-                 : evaluator_.score_assignments(shape_, candidates,
-                                                options_.probe_steps);
+  // Same fixed-budget sampling rule as the planners.
+  const std::vector<BatchScore> batch = evaluator_.score_assignments(
+      shape_, candidates, options_.probe_steps, options_.probe_samples);
   // Repair candidates carry real node ids, so charge each for the
   // scripted-downtime nodes it actually occupies — migrating onto a node
   // that is itself scheduled to die should rank below a healthy target.

@@ -1,6 +1,7 @@
 #include "sched/risk.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "support/error.hpp"
 
@@ -93,16 +94,6 @@ std::vector<ScoredCandidate> risk_scored(const std::vector<BatchScore>& batch,
   return out;
 }
 
-int doomed_used_after_avoidance(const RiskModel& risk, int nodes_used,
-                                int pool) {
-  int doomed_in_pool = 0;
-  for (const int node : risk.doomed) {
-    if (node >= 0 && node < pool) ++doomed_in_pool;
-  }
-  const int healthy = pool - doomed_in_pool;
-  return std::max(0, nodes_used - healthy);
-}
-
 int doomed_used_of(const RiskModel& risk, const Assignment& assignment) {
   std::vector<int> used(assignment);
   std::sort(used.begin(), used.end());
@@ -148,6 +139,82 @@ int effective_pool(const ResourceBudget& budget, const PlanOptions& options) {
         "spare-node headroom leaves no node to place the ensemble on");
   }
   return pool;
+}
+
+namespace {
+
+/// The run's pool, after the checks every planning run makes; runs before
+/// the evaluator (and its worker threads) exists.
+int checked_pool(const EnsembleShape& shape,
+                 const plat::PlatformSpec& platform,
+                 const ResourceBudget& budget, const PlanOptions& options) {
+  WFE_REQUIRE(!shape.members.empty(), "shape has no members");
+  WFE_REQUIRE(budget.node_pool >= 1 &&
+                  budget.node_pool <= platform.node_count,
+              "node pool must fit the platform");
+  WFE_REQUIRE(options.probe_samples >= 1, "probe-samples must be at least 1");
+  return effective_pool(budget, options);
+}
+
+}  // namespace
+
+PlanRun::PlanRun(const EnsembleShape& shape,
+                 const plat::PlatformSpec& platform,
+                 const ResourceBudget& budget, const PlanOptions& options)
+    : shape_(shape),
+      options_(options),
+      pool_(checked_pool(shape, platform, budget, options)),
+      risk_(RiskModel::of(options, shape.n_steps)),
+      evaluator_(platform, probe_scenario(options), options.threads) {
+  evaluator_.attach_shared_cache(options.shared_cache);
+}
+
+int PlanRun::charge(const Assignment& candidate) const {
+  if (risk_.doomed.empty()) return 0;
+  return doomed_used_of(risk_, avoid_doomed(candidate, pool_, risk_));
+}
+
+std::vector<ScoredCandidate> PlanRun::score(
+    const std::vector<Assignment>& candidates) {
+  std::vector<int> charges;
+  if (!risk_.doomed.empty()) {
+    charges.reserve(candidates.size());
+    for (const Assignment& c : candidates) charges.push_back(charge(c));
+  }
+  return risk_scored(
+      evaluator_.score_assignments(shape_, candidates, options_.probe_steps,
+                                   options_.probe_samples),
+      risk_, options_.probe_steps, charges);
+}
+
+std::vector<std::optional<double>> PlanRun::sample(
+    const std::vector<Assignment>& arms,
+    const std::vector<BatchEvaluator::ArmSample>& requests) {
+  const std::vector<BatchScore> draws = evaluator_.score_arm_samples(
+      shape_, arms, requests, options_.probe_steps);
+  std::vector<std::optional<double>> rewards(draws.size());
+  for (std::size_t i = 0; i < draws.size(); ++i) {
+    const BatchScore& d = draws[i];
+    if (!d.feasible) continue;
+    rewards[i] = risk_.adjust_objective(
+        d.eval.objective, d.eval.ensemble_makespan, options_.probe_steps,
+        d.eval.nodes_used, charge(arms[requests[i].arm]));
+  }
+  return rewards;
+}
+
+Schedule PlanRun::schedule(std::string name, const Assignment& winner,
+                           std::optional<std::size_t> samples) const {
+  Schedule schedule;
+  schedule.spec = place(shape_, avoid_doomed(winner, pool_, risk_));
+  schedule.spec.n_steps = shape_.n_steps;  // probes used fewer steps
+  schedule.scheduler = std::move(name);
+  schedule.evaluations = evaluator_.evaluations();
+  schedule.cache_hits = evaluator_.cache_hits();
+  schedule.shared_hits = evaluator_.shared_hits();
+  schedule.samples =
+      samples.value_or(schedule.evaluations + schedule.cache_hits);
+  return schedule;
 }
 
 }  // namespace wfe::sched

@@ -13,6 +13,9 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "sched/batch_evaluator.hpp"
 #include "sched/scheduler.hpp"
@@ -73,12 +76,6 @@ std::vector<ScoredCandidate> risk_scored(const std::vector<BatchScore>& batch,
                                          const std::vector<int>& doomed_used =
                                              {});
 
-/// Doomed nodes a canonical `nodes_used`-node placement still occupies
-/// after avoid_doomed() maps it into a pool of `pool` nodes: 0 while the
-/// healthy nodes suffice, the overflow otherwise.
-int doomed_used_after_avoidance(const RiskModel& risk, int nodes_used,
-                                int pool);
-
 /// Scripted-downtime nodes `assignment` occupies (distinct count).
 int doomed_used_of(const RiskModel& risk, const Assignment& assignment);
 
@@ -93,5 +90,50 @@ Assignment avoid_doomed(const Assignment& assignment, int pool,
 /// The node pool left after holding back the spare-node headroom.
 /// Throws wfe::SpecError when no node remains.
 int effective_pool(const ResourceBudget& budget, const PlanOptions& options);
+
+/// One planning run of a replay-guided scheduler: the plan policy every
+/// such scheduler shares, so each keeps only its candidates and its
+/// stopping rule. It checks the shape, the pool and probe_samples before
+/// any worker thread starts, holds the spare-node pool, the RiskModel and
+/// a BatchEvaluator on probe_scenario() with the shared cache attached.
+///
+/// Candidates are canonical assignments over nodes 0..pool()-1. Each is
+/// charged the scripted-downtime nodes it occupies once placed, i.e. after
+/// avoid_doomed() maps it onto the pool — the same mapping schedule()
+/// applies to the winner.
+class PlanRun {
+ public:
+  PlanRun(const EnsembleShape& shape, const plat::PlatformSpec& platform,
+          const ResourceBudget& budget, const PlanOptions& options);
+
+  /// The placement pool: the budget less the spare-node headroom.
+  int pool() const { return pool_; }
+
+  /// Fixed-budget, risk-adjusted scores, in candidate order
+  /// (probe_samples seeded draws averaged on a stochastic scenario).
+  std::vector<ScoredCandidate> score(const std::vector<Assignment>& candidates);
+
+  /// One risk-adjusted reward per seeded sample, in request order; nullopt
+  /// when the placement is infeasible (no draw can differ).
+  std::vector<std::optional<double>> sample(
+      const std::vector<Assignment>& arms,
+      const std::vector<BatchEvaluator::ArmSample>& requests);
+
+  /// The placed Schedule for canonical `winner`, with this run's cost
+  /// counters. `samples` defaults to the fixed-budget count: every score
+  /// served, fresh or cached.
+  Schedule schedule(std::string name, const Assignment& winner,
+                    std::optional<std::size_t> samples = {}) const;
+
+ private:
+  /// The doomed nodes `candidate` occupies once placed (0 when none is).
+  int charge(const Assignment& candidate) const;
+
+  const EnsembleShape& shape_;
+  const PlanOptions& options_;
+  int pool_;
+  RiskModel risk_;
+  BatchEvaluator evaluator_;
+};
 
 }  // namespace wfe::sched

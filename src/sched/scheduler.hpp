@@ -69,16 +69,20 @@ struct PlanOptions {
   /// count, but a genuine per-sample draw.
   double jitter_cv = 0.0;
 
-  /// Seeded draws a fixed-budget scheduler averages per candidate when the
-  /// probe scenario is stochastic (jitter_cv > 0). 1 keeps the historical
-  /// one-replay-per-candidate behavior; larger values buy noise reduction
-  /// at probe_samples× the replay cost. Ignored on deterministic probes.
+  /// Seeded draws averaged per candidate when the probe scenario is
+  /// stochastic (jitter_cv > 0): the fixed-budget rule of
+  /// BatchEvaluator::score_assignments, which exhaustive, greedy-refine and
+  /// the re-planner's repair targets all score through. 1 keeps the
+  /// historical one-replay-per-candidate behavior; larger values buy noise
+  /// reduction at probe_samples× the replay cost. Ignored on deterministic
+  /// probes, but must be at least 1 (every planning run checks it first).
   std::uint64_t probe_samples = 1;
 
   /// Total sample budget for the adaptive best-arm scheduler
-  /// ("bai-search"). 0 (default) = what the fixed-budget schedulers would
-  /// have spent on the same candidate set: probe_samples × arm count.
-  /// Never binds below one sample per arm.
+  /// ("bai-search") on stochastic probes. 0 (default) = what exhaustive
+  /// would spend on the same candidate set: probe_samples × arm count.
+  /// Never binds below one sample per arm. Unused on deterministic probes,
+  /// where bai-search is the exhaustive reduction.
   std::uint64_t max_samples = 0;
 
   /// Optional shared evaluation store consulted before any fresh probe

@@ -77,9 +77,10 @@ std::optional<T> parse_number(std::string_view token) {
 
 template <typename T>
 bool parse_flag(std::string_view flag, std::string_view token, T& out,
-                std::ostream& err, std::type_identity_t<T> min) {
+                std::ostream& err, std::type_identity_t<T> min,
+                std::type_identity_t<T> max) {
   const std::optional<T> value = parse_number<T>(token);
-  if (!value || *value < min) {
+  if (!value || *value < min || *value > max) {
     err << "bad value for " << flag << ": '" << token << "'\n";
     return false;
   }
@@ -92,12 +93,12 @@ template std::optional<long long> parse_number(std::string_view);
 template std::optional<std::uint64_t> parse_number(std::string_view);
 template std::optional<double> parse_number(std::string_view);
 template bool parse_flag(std::string_view, std::string_view, int&,
-                         std::ostream&, int);
+                         std::ostream&, int, int);
 template bool parse_flag(std::string_view, std::string_view, long long&,
-                         std::ostream&, long long);
+                         std::ostream&, long long, long long);
 template bool parse_flag(std::string_view, std::string_view, std::uint64_t&,
-                         std::ostream&, std::uint64_t);
+                         std::ostream&, std::uint64_t, std::uint64_t);
 template bool parse_flag(std::string_view, std::string_view, double&,
-                         std::ostream&, double);
+                         std::ostream&, double, double);
 
 }  // namespace wfe

@@ -40,10 +40,11 @@ std::optional<T> parse_number(std::string_view token);
 
 /// parse_number for a command-line flag: stores the value in `out`, or
 /// writes "bad value for FLAG: 'TOKEN'" to `err` and returns false. A value
-/// below `min` is out of range and reported the same way.
+/// outside [min, max] is out of range and reported the same way.
 template <typename T>
 bool parse_flag(std::string_view flag, std::string_view token, T& out,
                 std::ostream& err,
-                std::type_identity_t<T> min = std::numeric_limits<T>::lowest());
+                std::type_identity_t<T> min = std::numeric_limits<T>::lowest(),
+                std::type_identity_t<T> max = std::numeric_limits<T>::max());
 
 }  // namespace wfe

@@ -161,6 +161,41 @@ TEST(BatchEvaluator, CacheKeyDistinguishesProbeLengths) {
   EXPECT_EQ(batch.cache_hits(), 0u);
 }
 
+TEST(BatchEvaluator, StragglerProbesKeyNodeIdsAsTheyAre) {
+  // Straggler windows open per node, so placements that differ only in
+  // node naming replay differently: one batch must replay each of them
+  // and serve each the score it gets when scored alone.
+  const auto shape = EnsembleShape::paper_like(2, 1);
+  rt::SimulatedOptions scenario;
+  scenario.faults.straggler_mtbf_s = 20.0;
+  scenario.faults.straggler_duration_s = 30.0;
+  scenario.faults.straggler_factor = 3.0;
+  scenario.trace_obs = false;
+  const std::vector<Assignment> placements = {
+      {2, 2, 1, 1}, {3, 3, 1, 1}, {5, 5, 1, 1}};
+  BatchEvaluator together(platform(), scenario, /*threads=*/1);
+  const auto scores = together.score_assignments(shape, placements);
+  EXPECT_EQ(together.evaluations(), placements.size());
+  EXPECT_EQ(together.cache_hits(), 0u);
+  std::set<double> distinct;
+  for (std::size_t i = 0; i < placements.size(); ++i) {
+    BatchEvaluator alone(platform(), scenario, /*threads=*/1);
+    const auto own = alone.score_assignments(shape, {placements[i]});
+    ASSERT_TRUE(scores[i].feasible);
+    EXPECT_EQ(scores[i].eval.objective, own[0].eval.objective) << i;
+    distinct.insert(scores[i].eval.objective);
+  }
+  EXPECT_GT(distinct.size(), 1u);
+
+  // Without stragglers, relabeled twins still share one key and one replay;
+  // with them, each twin is replayed.
+  BatchEvaluator plain(platform(), /*threads=*/1);
+  (void)plain.score_assignments(shape, {{0, 0, 1, 1}, {1, 1, 0, 0}});
+  EXPECT_EQ(plain.evaluations(), 1u);
+  (void)together.score_assignments(shape, {{0, 0, 1, 1}, {1, 1, 0, 0}});
+  EXPECT_EQ(together.evaluations(), placements.size() + 2);
+}
+
 TEST(BatchEvaluator, CountsEngineEvents) {
   const auto shape = EnsembleShape::paper_like(2, 1);
   BatchEvaluator batch(platform(), /*threads=*/2);

@@ -8,9 +8,11 @@
 #include <bit>
 #include <cmath>
 #include <cstdio>
-#include <iterator>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -57,62 +59,73 @@ CachedEval sample(double objective) {
   return e;
 }
 
+// One-key forms of the span API.
+void put(EvalCache& cache, std::uint64_t key, const CachedEval& value) {
+  cache.insert(std::span<const std::uint64_t>(&key, 1),
+               std::span<const CachedEval>(&value, 1));
+}
+
+std::optional<CachedEval> get(const EvalCache& cache, std::uint64_t key) {
+  return cache.lookup(std::span<const std::uint64_t>(&key, 1)).front();
+}
+
 TEST(EvalCache, LookupMissesOnEmptyAndHitsAfterInsert) {
   EvalCache cache;
-  CachedEval out;
-  EXPECT_FALSE(cache.lookup(42, &out));
-  cache.insert(42, sample(1.5));
-  ASSERT_TRUE(cache.lookup(42, &out));
-  EXPECT_TRUE(out.feasible);
-  EXPECT_EQ(out.eval.objective, 1.5);
+  EXPECT_FALSE(get(cache, 42));
+  put(cache, 42, sample(1.5));
+  const std::optional<CachedEval> out = get(cache, 42);
+  ASSERT_TRUE(out);
+  EXPECT_TRUE(out->feasible);
+  EXPECT_EQ(out->eval.objective, 1.5);
   EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.hits(), 1u);
 }
 
 TEST(EvalCache, InsertOverwrites) {
   EvalCache cache;
-  cache.insert(7, sample(1.0));
-  cache.insert(7, sample(2.0));
-  CachedEval out;
-  ASSERT_TRUE(cache.lookup(7, &out));
-  EXPECT_EQ(out.eval.objective, 2.0);
+  put(cache, 7, sample(1.0));
+  put(cache, 7, sample(2.0));
+  const std::optional<CachedEval> out = get(cache, 7);
+  ASSERT_TRUE(out);
+  EXPECT_EQ(out->eval.objective, 2.0);
   EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST_F(EvalCacheFiles, SaveLoadRoundTripsBitExactly) {
   EvalCache cache;
-  cache.insert(0x1234, sample(0.1));  // 0.1: not exactly representable
+  put(cache, 0x1234, sample(0.1));  // 0.1: not exactly representable
   CachedEval infeasible;
   infeasible.feasible = false;
-  cache.insert(0xffffffffffffffffull, infeasible);
+  put(cache, 0xffffffffffffffffull, infeasible);
   EXPECT_EQ(cache.save(path("c")), 2u);
 
   EvalCache loaded;
   EXPECT_EQ(loaded.load(path("c")), 2u);
   EXPECT_EQ(loaded.size(), 2u);
-  CachedEval out;
-  ASSERT_TRUE(loaded.lookup(0x1234, &out));
-  EXPECT_TRUE(out.feasible);
+  const std::optional<CachedEval> out = get(loaded, 0x1234);
+  ASSERT_TRUE(out);
+  EXPECT_TRUE(out->feasible);
   // Bit-exact doubles: the hex-float format must not lose mantissa bits.
-  EXPECT_EQ(out.eval.objective, 0.1);
-  EXPECT_EQ(out.eval.ensemble_makespan, 0.1 * 2.0 + 0.125);
-  EXPECT_EQ(out.eval.min_member_efficiency, 0.7310585786300049);
-  EXPECT_EQ(out.eval.nodes_used, 3);
-  ASSERT_TRUE(loaded.lookup(0xffffffffffffffffull, &out));
-  EXPECT_FALSE(out.feasible);
+  EXPECT_EQ(out->eval.objective, 0.1);
+  EXPECT_EQ(out->eval.ensemble_makespan, 0.1 * 2.0 + 0.125);
+  EXPECT_EQ(out->eval.min_member_efficiency, 0.7310585786300049);
+  EXPECT_EQ(out->eval.nodes_used, 3);
+  const std::optional<CachedEval> infeasible_out =
+      get(loaded, 0xffffffffffffffffull);
+  ASSERT_TRUE(infeasible_out);
+  EXPECT_FALSE(infeasible_out->feasible);
 }
 
 TEST_F(EvalCacheFiles, SavedBytesAreDeterministic) {
   // Same entries inserted in different orders must serialize identically
   // (sorted by key): campaign runs diff cache files across machines.
   EvalCache a;
-  a.insert(3, sample(0.3));
-  a.insert(1, sample(0.1));
-  a.insert(2, sample(0.2));
+  put(a, 3, sample(0.3));
+  put(a, 1, sample(0.1));
+  put(a, 2, sample(0.2));
   EvalCache b;
-  b.insert(2, sample(0.2));
-  b.insert(3, sample(0.3));
-  b.insert(1, sample(0.1));
+  put(b, 2, sample(0.2));
+  put(b, 3, sample(0.3));
+  put(b, 1, sample(0.1));
   a.save(path("a"));
   b.save(path("b"));
   std::ifstream fa(path("a")), fb(path("b"));
@@ -124,15 +137,14 @@ TEST_F(EvalCacheFiles, SavedBytesAreDeterministic) {
 
 TEST_F(EvalCacheFiles, LoadMergesIntoExistingEntries) {
   EvalCache first;
-  first.insert(1, sample(0.1));
+  put(first, 1, sample(0.1));
   first.save(path("c"));
   EvalCache second;
-  second.insert(2, sample(0.2));
+  put(second, 2, sample(0.2));
   EXPECT_EQ(second.load(path("c")), 1u);
   EXPECT_EQ(second.size(), 2u);
-  CachedEval out;
-  EXPECT_TRUE(second.lookup(1, &out));
-  EXPECT_TRUE(second.lookup(2, &out));
+  EXPECT_TRUE(get(second, 1));
+  EXPECT_TRUE(get(second, 2));
 }
 
 TEST_F(EvalCacheFiles, MissingFileLoadsAsEmpty) {
@@ -185,7 +197,7 @@ TEST_F(EvalCacheFiles, OlderVersionIsStaleNotCorrupt) {
   EvalCache cache;
   EXPECT_EQ(cache.load(path("v1")), 0u);
   EXPECT_EQ(cache.size(), 0u);
-  cache.insert(1, sample(0.5));
+  put(cache, 1, sample(0.5));
   EXPECT_EQ(cache.save(path("v1")), 1u);
   EvalCache reloaded;
   EXPECT_EQ(reloaded.load(path("v1")), 1u);
@@ -201,18 +213,18 @@ TEST_F(EvalCacheFiles, SpecialValuesRoundTripBitExactly) {
   for (std::size_t i = 0; i < std::size(values); ++i) {
     CachedEval e = sample(values[i]);
     e.eval.nodes_used = -static_cast<int>(i);
-    cache.insert(i, e);
+    put(cache, i, e);
   }
   cache.save(path("c"));
   EvalCache loaded;
   ASSERT_EQ(loaded.load(path("c")), std::size(values));
   for (std::size_t i = 0; i < std::size(values); ++i) {
-    CachedEval out;
-    ASSERT_TRUE(loaded.lookup(i, &out));
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(out.eval.objective),
+    const std::optional<CachedEval> out = get(loaded, i);
+    ASSERT_TRUE(out);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(out->eval.objective),
               std::bit_cast<std::uint64_t>(values[i]))
         << i;
-    EXPECT_EQ(out.eval.nodes_used, -static_cast<int>(i));
+    EXPECT_EQ(out->eval.nodes_used, -static_cast<int>(i));
   }
 }
 
@@ -231,26 +243,30 @@ TEST(EvalCache, BatchLookupAndInsertMatchSingleCalls) {
   EXPECT_FALSE(found[1].has_value());
   ASSERT_TRUE(found[2].has_value());
   EXPECT_EQ(found[2]->eval.objective, 0.25);
-  EXPECT_EQ(cache.hits(), 2u);
+  // A later single-key insert overwrites what a batch put there.
+  put(cache, 9, sample(0.75));
+  EXPECT_EQ(get(cache, 9)->eval.objective, 0.75);
+  EXPECT_EQ(cache.size(), 2u);
 }
 
 TEST(EvalCache, ManyKeysSurviveTableGrowth) {
   EvalCache cache;
   for (std::uint64_t k = 0; k < 5000; ++k) {
-    cache.insert(k * 0x9e3779b97f4a7c15ULL, sample(static_cast<double>(k)));
+    put(cache, k * 0x9e3779b97f4a7c15ULL, sample(static_cast<double>(k)));
   }
   EXPECT_EQ(cache.size(), 5000u);
-  CachedEval out;
   for (std::uint64_t k = 0; k < 5000; ++k) {
-    ASSERT_TRUE(cache.lookup(k * 0x9e3779b97f4a7c15ULL, &out));
-    EXPECT_EQ(out.eval.objective, static_cast<double>(k));
+    const std::optional<CachedEval> out =
+        get(cache, k * 0x9e3779b97f4a7c15ULL);
+    ASSERT_TRUE(out);
+    EXPECT_EQ(out->eval.objective, static_cast<double>(k));
   }
-  EXPECT_FALSE(cache.lookup(1, &out));
+  EXPECT_FALSE(get(cache, 1));
 }
 
 TEST_F(EvalCacheFiles, SaveLeavesNoTempFileBehind) {
   EvalCache cache;
-  cache.insert(1, sample(0.5));
+  put(cache, 1, sample(0.5));
   cache.save(path("c"));
   EXPECT_TRUE(std::filesystem::exists(path("c")));
   EXPECT_FALSE(std::filesystem::exists(path("c") + ".tmp"));
@@ -265,12 +281,11 @@ TEST(EvalCache, ConcurrentInsertLookupIsSafe) {
   threads.reserve(4);
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&cache, t] {
-      CachedEval out;
       for (int i = 0; i < 500; ++i) {
         const auto key = static_cast<std::uint64_t>(t * 1000 + i);
-        cache.insert(key, sample(static_cast<double>(i)));
-        cache.lookup(key, &out);
-        cache.lookup(static_cast<std::uint64_t>(i), &out);
+        put(cache, key, sample(static_cast<double>(i)));
+        (void)get(cache, key);
+        (void)get(cache, static_cast<std::uint64_t>(i));
       }
     });
   }

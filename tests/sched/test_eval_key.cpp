@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <memory>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "sched/batch_evaluator.hpp"
@@ -161,16 +162,17 @@ TEST_F(KeyLayout, KeysCarryTheModelDigest) {
   CachedEval stale;
   stale.feasible = true;
   stale.eval.objective = -1.0;
-  shared_.insert(theirs, stale);
+  shared_.insert(std::span<const std::uint64_t>(&theirs, 1),
+                 std::span<const CachedEval>(&stale, 1));
 
   const auto ev = fresh();
   const auto scores = ev->score_assignments(shape_, {a_});
   EXPECT_EQ(ev->evaluations(), 1u);
   EXPECT_EQ(ev->shared_hits(), 0u);
   EXPECT_NE(scores[0].eval.objective, -1.0);
-  CachedEval out;
-  EXPECT_TRUE(shared_.lookup(ours, &out));
-  EXPECT_EQ(out.eval.objective, scores[0].eval.objective);
+  const auto out = shared_.lookup(std::span<const std::uint64_t>(&ours, 1));
+  ASSERT_TRUE(out.front());
+  EXPECT_EQ(out.front()->eval.objective, scores[0].eval.objective);
 }
 
 TEST(ModelDigest, IsStableAndMovesNoEvaluatorCounter) {

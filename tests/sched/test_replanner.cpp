@@ -3,6 +3,7 @@
 // the scenario isolation of the shared evaluation cache.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "sched/batch_evaluator.hpp"
@@ -162,9 +163,11 @@ TEST(RiskModel, AvoidDoomedRemapsOffScheduledNodes) {
   // nodes go to the back of the mapping).
   EXPECT_EQ(avoid_doomed({0, 0, 1}, 3, risk), (Assignment{1, 1, 2}));
   EXPECT_EQ(avoid_doomed({0, 1, 2}, 3, risk), (Assignment{1, 2, 0}));
-  EXPECT_EQ(doomed_used_after_avoidance(risk, 1, 3), 0);
-  EXPECT_EQ(doomed_used_after_avoidance(risk, 2, 3), 0);
-  EXPECT_EQ(doomed_used_after_avoidance(risk, 3, 3), 1);
+  // The planners' charge: the doomed nodes a canonical candidate occupies
+  // once placed — none while the healthy nodes suffice, the overflow after.
+  EXPECT_EQ(doomed_used_of(risk, avoid_doomed({0, 0, 0}, 3, risk)), 0);
+  EXPECT_EQ(doomed_used_of(risk, avoid_doomed({0, 1, 1}, 3, risk)), 0);
+  EXPECT_EQ(doomed_used_of(risk, avoid_doomed({0, 1, 2}, 3, risk)), 1);
   EXPECT_EQ(doomed_used_of(risk, {0, 0, 1}), 1);
   EXPECT_EQ(doomed_used_of(risk, {1, 2, 1}), 0);
 
@@ -173,30 +176,53 @@ TEST(RiskModel, AvoidDoomedRemapsOffScheduledNodes) {
   EXPECT_EQ(avoid_doomed({0, 0, 1}, 3, off), (Assignment{0, 0, 1}));
 }
 
+bool uses_node(const Schedule& schedule, int node) {
+  for (const auto& m : schedule.spec.members) {
+    if (m.sim.nodes.count(node) > 0) return true;
+    for (const auto& a : m.analyses) {
+      if (a.nodes.count(node) > 0) return true;
+    }
+  }
+  return false;
+}
+
 TEST(RiskModel, PlannersPlaceOffScheduledDowntimeNodes) {
   // The same demand planned twice: fault-oblivious lands on node 0 (the
-  // canonical choice), risk-aware maps off the node scheduled to die.
-  const EnsembleShape shape = two_member_shape();
-  const ResourceBudget budget{4};
-  for (const char* scheduler : {"exhaustive", "greedy-refine"}) {
-    PlanOptions options;
-    options.faults = wl::node_down_at(0, 500.0);
-    const Schedule oblivious = make_scheduler(scheduler)->plan(
-        shape, wl::cori_like_platform(), budget, options);
-    bool oblivious_uses_0 = false;
-    for (const auto& m : oblivious.spec.members) {
-      oblivious_uses_0 = oblivious_uses_0 || m.sim.nodes.count(0) > 0;
-    }
-    EXPECT_TRUE(oblivious_uses_0) << scheduler;
+  // canonical choice), risk-aware keeps off the node scheduled to die.
+  struct Row {
+    EnsembleShape shape;
+    int pool;
+    std::uint64_t checkpoint_period;
+  };
+  // Three members with 4-core analyses: the fault-free winner spreads them
+  // over all three nodes of the pool, but only two are healthy, so every
+  // three-node candidate must occupy node 0 once placed. Only the charge
+  // (one recovery, costly with a long checkpoint period) can make a
+  // two-node candidate on the healthy nodes win.
+  EnsembleShape spread = EnsembleShape::paper_like(3, 1, 5);
+  for (MemberShape& m : spread.members) {
+    for (rt::AnalysisSpec& a : m.analyses) a.cores = 4;
+  }
+  const std::vector<Row> rows = {
+      {two_member_shape(), 4, res::RecoveryPolicy{}.checkpoint_period},
+      {spread, 3, 20}};
+  for (const Row& row : rows) {
+    // bai-search samples jittered probes, so its rewards carry the charge
+    // sample by sample.
+    for (const char* scheduler :
+         {"exhaustive", "greedy-refine", "bai-search"}) {
+      PlanOptions options;
+      options.faults = wl::node_down_at(0, 500.0);
+      options.recovery.checkpoint_period = row.checkpoint_period;
+      if (std::string(scheduler) == "bai-search") options.jitter_cv = 0.1;
+      const Schedule oblivious = make_scheduler(scheduler)->plan(
+          row.shape, wl::cori_like_platform(), {row.pool}, options);
+      EXPECT_TRUE(uses_node(oblivious, 0)) << scheduler << row.pool;
 
-    options.risk_aware = true;
-    const Schedule aware = make_scheduler(scheduler)->plan(
-        shape, wl::cori_like_platform(), budget, options);
-    for (const auto& m : aware.spec.members) {
-      EXPECT_EQ(m.sim.nodes.count(0), 0u) << scheduler;
-      for (const auto& a : m.analyses) {
-        EXPECT_EQ(a.nodes.count(0), 0u) << scheduler;
-      }
+      options.risk_aware = true;
+      const Schedule aware = make_scheduler(scheduler)->plan(
+          row.shape, wl::cori_like_platform(), {row.pool}, options);
+      EXPECT_FALSE(uses_node(aware, 0)) << scheduler << row.pool;
     }
   }
 }

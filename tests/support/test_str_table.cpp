@@ -94,6 +94,15 @@ TEST(Str, ParseFlagReportsTheFlagAndToken) {
   EXPECT_EQ(cv, 0.0);
   EXPECT_FALSE(parse_flag("--probe-jitter", "-0.5", cv, low, 0.0));
   EXPECT_EQ(cv, 0.0);
+
+  // Above the maximum likewise; both bounds are inclusive.
+  std::ostringstream high;
+  double p = 0.5;
+  EXPECT_FALSE(parse_flag("--stage-error-p", "2", p, high, 0.0, 1.0));
+  EXPECT_EQ(p, 0.5);
+  EXPECT_EQ(high.str(), "bad value for --stage-error-p: '2'\n");
+  EXPECT_TRUE(parse_flag("--stage-error-p", "1", p, quiet, 0.0, 1.0));
+  EXPECT_EQ(p, 1.0);
 }
 
 TEST(Table, RejectsEmptyHeader) { EXPECT_THROW(Table({}), InvalidArgument); }

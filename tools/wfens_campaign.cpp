@@ -60,8 +60,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--threads" && i + 1 < argc) {
-      if (!parse_flag(arg, argv[++i], threads, std::cerr)) return 2;
-      if (threads < 1) threads = 1;
+      if (!parse_flag(arg, argv[++i], threads, std::cerr, 1)) return 2;
     } else if (arg == "--units" && i + 1 < argc) {
       unit_filter = split_csv(argv[++i]);
     } else if (arg == "--plan" && i + 1 < argc) {

@@ -46,12 +46,14 @@ int main(int argc, char** argv) {
                  "[--json] [--save-spec out.wfes] [--trace-out trace.json]\n";
     return 2;
   }
+  const auto platform = wl::cori_like_platform();
   int members = 0;
   int analyses = 0;
   int pool = 0;
-  if (!parse_flag("members", argv[1], members, std::cerr) ||
-      !parse_flag("analyses_per_member", argv[2], analyses, std::cerr) ||
-      !parse_flag("node_pool", argv[3], pool, std::cerr)) {
+  if (!parse_flag("members", argv[1], members, std::cerr, 1) ||
+      !parse_flag("analyses_per_member", argv[2], analyses, std::cerr, 1) ||
+      !parse_flag("node_pool", argv[3], pool, std::cerr, 1,
+                  platform.node_count)) {
     return 2;
   }
   std::string scheduler_name = "greedy-colocate";
@@ -103,7 +105,6 @@ int main(int argc, char** argv) {
       obs_session = std::make_unique<obs::Session>(*obs_recorder);
     }
 
-    const auto platform = wl::cori_like_platform();
     const auto shape = sched::EnsembleShape::paper_like(members, analyses);
     const auto scheduler = sched::make_scheduler(scheduler_name);
     const sched::Schedule schedule =

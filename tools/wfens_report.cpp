@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--timeline") {
       timeline = true;
     } else if (arg == "--width" && i + 1 < argc) {
-      if (!parse_flag(arg, argv[++i], width, std::cerr)) return 2;
+      if (!parse_flag(arg, argv[++i], width, std::cerr, 8)) return 2;
     } else if (arg == "--spec" && i + 1 < argc) {
       spec_path = argv[++i];
     } else {

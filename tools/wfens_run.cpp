@@ -99,6 +99,7 @@ int main(int argc, char** argv) {
   }
   const std::string source = argv[1];
   const std::string out_path = argv[2];
+  const auto platform = wl::cori_like_platform();
   bool native = false;
   std::uint64_t steps = 0;
   std::string save_spec_path;
@@ -125,7 +126,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--schedule" && i + 1 < argc) {
       schedule_name = argv[++i];
     } else if (arg == "--pool" && i + 1 < argc) {
-      if (!parse_flag(arg, argv[++i], pool, std::cerr, 1)) return 2;
+      if (!parse_flag(arg, argv[++i], pool, std::cerr, 1,
+                      platform.node_count)) {
+        return 2;
+      }
     } else if (arg == "--threads" && i + 1 < argc) {
       if (!parse_flag(arg, argv[++i], threads, std::cerr, 1)) return 2;
     } else if (arg == "--probe-jitter" && i + 1 < argc) {
@@ -135,11 +139,12 @@ int main(int argc, char** argv) {
     } else if (arg == "--max-samples" && i + 1 < argc) {
       if (!parse_flag(arg, argv[++i], max_samples, std::cerr)) return 2;
     } else if (arg == "--faults" && i + 1 < argc) {
-      if (!parse_flag(arg, argv[++i], faults.node_mtbf_s, std::cerr)) {
+      if (!parse_flag(arg, argv[++i], faults.node_mtbf_s, std::cerr, 0.0)) {
         return 2;
       }
     } else if (arg == "--stage-error-p" && i + 1 < argc) {
-      if (!parse_flag(arg, argv[++i], faults.stage_error_prob, std::cerr)) {
+      if (!parse_flag(arg, argv[++i], faults.stage_error_prob, std::cerr, 0.0,
+                      1.0)) {
         return 2;
       }
     } else if (arg == "--fault-seed" && i + 1 < argc) {
@@ -151,27 +156,29 @@ int main(int argc, char** argv) {
         std::cerr << "--node-down wants NODE@TIME (e.g. 1@40)\n";
         return 2;
       }
-      int node = 0;
-      double time_s = 0.0;
-      if (!parse_flag(arg, at.substr(0, sep), node, std::cerr) ||
-          !parse_flag(arg, at.substr(sep + 1), time_s, std::cerr)) {
+      const auto node = parse_number<int>(at.substr(0, sep));
+      const auto time_s = parse_number<double>(at.substr(sep + 1));
+      if (!node || *node < 0 || *node >= platform.node_count || !time_s ||
+          *time_s < 0.0) {
+        std::cerr << "bad value for " << arg << ": '" << at << "'\n";
         return 2;
       }
-      faults.node_down.push_back({node, time_s});
+      faults.node_down.push_back({*node, *time_s});
     } else if (arg == "--fatal-crashes") {
       faults.crashes_are_fatal = true;
     } else if (arg == "--straggler" && i + 1 < argc) {
-      if (!parse_flag(arg, argv[++i], faults.straggler_mtbf_s, std::cerr)) {
+      if (!parse_flag(arg, argv[++i], faults.straggler_mtbf_s, std::cerr,
+                      0.0)) {
         return 2;
       }
     } else if (arg == "--net-degrade" && i + 1 < argc) {
-      if (!parse_flag(arg, argv[++i], faults.net_degrade_mtbf_s,
-                      std::cerr)) {
+      if (!parse_flag(arg, argv[++i], faults.net_degrade_mtbf_s, std::cerr,
+                      0.0)) {
         return 2;
       }
     } else if (arg == "--replication" && i + 1 < argc) {
-      if (!parse_flag(arg, argv[++i], recovery.chunk_replication,
-                      std::cerr)) {
+      if (!parse_flag(arg, argv[++i], recovery.chunk_replication, std::cerr,
+                      1)) {
         return 2;
       }
     } else if (arg == "--migrate" && i + 1 < argc) {
@@ -184,7 +191,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--risk-aware") {
       risk_aware = true;
     } else if (arg == "--spare" && i + 1 < argc) {
-      if (!parse_flag(arg, argv[++i], spare_nodes, std::cerr)) return 2;
+      if (!parse_flag(arg, argv[++i], spare_nodes, std::cerr, 0)) return 2;
     } else if (arg == "--trace-out" && i + 1 < argc) {
       trace_out_path = argv[++i];
     } else if (arg == "--fault-policy" && i + 1 < argc) {
@@ -246,7 +253,6 @@ int main(int argc, char** argv) {
 
     if (!schedule_name.empty()) {
       // Strip the config's placement down to its demand and re-plan it.
-      const auto platform = wl::cori_like_platform();
       const auto shape = sched::EnsembleShape::of(spec);
       const sched::ResourceBudget budget{pool > 0 ? pool
                                                   : platform.node_count};
@@ -287,8 +293,7 @@ int main(int argc, char** argv) {
       std::unique_ptr<sched::RePlanner> replanner;
       if (migrate_mode == "replan" && faults.node_faults()) {
         replanner = std::make_unique<sched::RePlanner>(
-            sched::EnsembleShape::of(spec), wl::cori_like_platform(),
-            plan_options);
+            sched::EnsembleShape::of(spec), platform, plan_options);
         // The running assignment: one node per component in slot order
         // (multi-node components contribute their lowest node).
         sched::Assignment assignment;
@@ -301,7 +306,7 @@ int main(int argc, char** argv) {
         replanner->set_assignment(std::move(assignment));
         options.migrate = replanner->hook();
       }
-      rt::SimulatedExecutor exec(wl::cori_like_platform(), options);
+      rt::SimulatedExecutor exec(platform, options);
       result = exec.run(spec);
       if (replanner && replanner->replans() > 0) {
         std::cout << "re-planner repaired " << replanner->replans()
