@@ -33,12 +33,6 @@ enum class StageKind : std::uint8_t {
   kMigrate,     ///< M: a member re-homes onto surviving nodes after a death
 };
 
-/// Number of StageKind enumerators — kMigrate is the last one. Sized for
-/// per-kind count/duration arrays (e.g. met::StageColumns) so they can be
-/// flat arrays indexed by the enum value instead of maps.
-inline constexpr std::size_t kStageKindCount =
-    static_cast<std::size_t>(StageKind::kMigrate) + 1;
-
 const char* to_string(StageKind kind);
 
 /// Steady-state durations of the simulation side of a member: S* and W*.

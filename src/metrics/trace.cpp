@@ -29,62 +29,6 @@ Trace TraceRecorder::take() {
   return Trace(std::move(out));
 }
 
-void StageColumns::grow(std::size_t n) {
-  capacity_ = n;
-  component_.resize(n);
-  step_.resize(n);
-  kind_.resize(n);
-  start_.resize(n);
-  end_.resize(n);
-  counter_slot_.resize(n);
-  counters_.reserve(n);
-}
-
-void StageColumns::clear() {
-  size_ = 0;
-  counters_.clear();
-  total_ = plat::HwCounters{};
-  kind_counts_.fill(0);
-}
-
-Trace StageColumns::take_trace() {
-  const std::size_t n = size_;
-  order_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    order_[i] = static_cast<std::uint32_t>(i);
-  }
-  // Sorting the index permutation touches 4-byte keys instead of shuffling
-  // 72-byte records; the comparator is the exact one of Trace's sorting
-  // constructor, and a stable sort's output is uniquely determined by the
-  // comparator, so the materialized trace is byte-identical to the
-  // sort-records path. (A binary-insertion sort exploiting the
-  // near-sorted push order was measured ~15% slower end-to-end: idle
-  // stages start far before their push point, so inversions displace
-  // elements across long distances.)
-  std::stable_sort(order_.begin(), order_.end(),
-                   [this](std::uint32_t a, std::uint32_t b) {
-                     if (start_[a] != start_[b]) return start_[a] < start_[b];
-                     return component_[a] < component_[b];
-                   });
-  // Value-construct the full record array once (zero counters included),
-  // then fill fields in place: no per-record push_back bookkeeping and no
-  // stack temporary copied per record.
-  std::vector<StageRecord> records(n);
-  StageRecord* out = records.data();
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::size_t i = order_[k];
-    StageRecord& r = out[k];
-    r.component = component_[i];
-    r.step = step_[i];
-    r.kind = kind_[i];
-    r.start = start_[i];
-    r.end = end_[i];
-    if (counter_slot_[i] != 0) r.counters = counters_[counter_slot_[i] - 1];
-  }
-  clear();
-  return Trace::from_sorted(std::move(records));
-}
-
 Trace::Trace(std::vector<StageRecord> records)
     : records_(std::move(records)) {
   std::stable_sort(records_.begin(), records_.end(),
@@ -92,12 +36,6 @@ Trace::Trace(std::vector<StageRecord> records)
                      if (a.start != b.start) return a.start < b.start;
                      return a.component < b.component;
                    });
-}
-
-Trace Trace::from_sorted(std::vector<StageRecord> records) {
-  Trace t;
-  t.records_ = std::move(records);
-  return t;
 }
 
 std::vector<ComponentId> Trace::components() const {

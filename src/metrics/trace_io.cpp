@@ -106,6 +106,10 @@ Trace trace_from_text(std::string_view text) {
           r.counters.llc_misses)) {
       throw SerializationError("WFET: malformed record line");
     }
+    if (r.component.analysis < -1) {
+      throw SerializationError(
+          "WFET: analysis index below -1 (-1 marks the simulation)");
+    }
     r.kind = kind_from_mnemonic(mnemonic);
     if (r.end < r.start) {
       throw SerializationError("WFET: record ends before it starts");

@@ -46,11 +46,6 @@ struct ExecutionResult {
   /// Snapshot of the observability counter registry at the end of the run.
   /// Empty unless an obs::Session was active while the executor ran.
   obs::CounterSnapshot counters;
-
-  /// Whole-run sum of every synthesized stage counter, flushed once from
-  /// the replay's columnar accumulator (all zeros in native mode). Equals
-  /// summing `trace` record counters, without walking the trace.
-  plat::HwCounters hw_totals;
 };
 
 }  // namespace wfe::rt

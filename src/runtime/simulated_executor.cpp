@@ -31,29 +31,15 @@ using sim::Engine;
 
 struct MemberRun;
 
-/// Thread-local pool of columnar stage buffers. A replay checks one out for
-/// its lifetime and returns it cleared, so steady-state replays (campaign
-/// drivers and placement searches execute thousands back to back) reuse the
-/// high-water capacity of all seven columns instead of re-growing them every
-/// run. A pool — not a single slot — so a nested replay (a re-planning
-/// probe running inside an outer replay's callback) checks out its own
-/// buffer instead of corrupting its parent's.
-std::vector<met::StageColumns>& column_pool() {
-  thread_local std::vector<met::StageColumns> pool;
-  return pool;
-}
-
 /// Whole-replay context shared by all component state machines.
 struct Replay {
   const EnsembleSpec& spec;
   plat::Cluster cluster;
   Engine engine;
   /// Replay is single-threaded by construction (one engine, one clock), so
-  /// stages accumulate in a columnar SoA buffer — no TraceRecorder mutex
-  /// and no per-event StageRecord construction on the hot path.
-  /// StageColumns::take_trace() applies the same (start, component) stable
-  /// sort as TraceRecorder::take(), so the resulting trace is bit-identical.
-  met::StageColumns columns;
+  /// stages append to a plain vector with no TraceRecorder mutex; the
+  /// returned Trace applies the (start, component) stable sort.
+  std::vector<met::StageRecord> records;
   Xoshiro256 rng;
   double jitter_sigma = 0.0;  ///< lognormal sigma; 0 = deterministic
 
@@ -83,15 +69,11 @@ struct Replay {
         rng(seed),
         traced(options.trace_obs && obs::enabled()) {
     engine.set_obs(traced);
-    if (auto& pool = column_pool(); !pool.empty()) {
-      columns = std::move(pool.back());
-      pool.pop_back();
-    }
-    // ~4 stages per simulation step + ~3 per analysis step; overshooting
-    // slightly keeps the record stream out of the allocator entirely.
+    // A fault-free replay records exactly three stages per component per
+    // step (S, I^S, W or I^A, R, A); fault stages grow the vector past it.
     std::size_t components = 0;
     for (const MemberSpec& m : s.members) components += 1 + m.analyses.size();
-    columns.reserve(components * (s.n_steps + 1) * 4);
+    records.reserve(components * (s.n_steps + 1) * 3);
     if (options.jitter_cv > 0.0) {
       // For lognormal noise, CV^2 = exp(sigma^2) - 1.
       jitter_sigma =
@@ -105,13 +87,6 @@ struct Replay {
       health = std::make_unique<plat::HealthTracker>(platform.node_count);
       migrate = options.migrate;
     }
-  }
-
-  ~Replay() {
-    // Return the stage buffer to the pool with its capacity intact; the
-    // clear also covers replays abandoned mid-run by an exception.
-    columns.clear();
-    column_pool().push_back(std::move(columns));
   }
 
   bool faulty() const { return injector != nullptr; }
@@ -171,10 +146,6 @@ struct ComponentFootprint {
   plat::ComputeProfile whole;  ///< unscaled profile (total instructions)
   int total_cores = 1;
 
-  /// Bumped whenever the partition→node layout changes (init, rehome).
-  /// Downstream layout-dependent caches (write/read staging times) key on
-  /// it; 0 never matches, so fresh caches start stale.
-  std::uint64_t layout_epoch = 0;
   /// Contention-free duration of the whole allocation — a pure function of
   /// (spec, whole, total_cores), so priced once at init.
   double free_seconds = 0.0;
@@ -211,9 +182,8 @@ struct ComponentFootprint {
     refresh_layout(rp);
   }
 
-  /// Re-derive the layout-dependent terms and invalidate downstream caches.
+  /// Re-derive the layout-dependent terms.
   void refresh_layout(Replay& rp) {
-    ++layout_epoch;
     // Count distinct nodes, not partitions: a migration may fold two
     // partitions onto one survivor, and co-located partitions pay no
     // cross-node penalty against each other. Equal to partitions.size() for
@@ -291,8 +261,7 @@ plat::StageCost ComponentFootprint::priced(Replay& rp) const {
 /// component's own track, staging stages additionally onto the member's
 /// DTL-view track, and failure-semantics stages onto the shared resilience
 /// track. All timestamps are virtual seconds, so traced runs replay
-/// bit-identically. Called only when tracing is on — emission order and
-/// content are unchanged from the AoS path.
+/// bit-identically. Called only when tracing is on.
 void trace_obs_stage(const met::ComponentId& component, StageKind kind,
                      double start, double end) {
   obs::span(component.str(), met::stage_mnemonic(kind), start, end);
@@ -325,31 +294,14 @@ void trace_obs_stage(const met::ComponentId& component, StageKind kind,
   }
 }
 
-/// Append one counter-less stage (idle, I/O, fault bookkeeping) to the
-/// columnar member trace: five column writes, no StageRecord construction
-/// on the hot path.
-void record_stage(Replay& rp, const met::ComponentId& component,
-                  std::uint64_t step, StageKind kind, double start,
-                  double end) {
-  WFE_REQUIRE(end >= start, "a stage cannot end before it starts");
-  rp.columns.push(component, step, kind, start, end);
-  if (rp.traced) trace_obs_stage(component, kind, start, end);
-}
-
-/// Compute-stage variant carrying synthesized counters. All-zero counters
-/// (W/R/checkpoint stages route through exec_stage with empty counters)
-/// take the counter-less column path, keeping the dense counter array S/A
-/// stages only — the materialized trace is identical either way.
+/// Append one stage to the replay's trace; idle, I/O and fault bookkeeping
+/// stages carry no counters.
 void record_stage(Replay& rp, const met::ComponentId& component,
                   std::uint64_t step, StageKind kind, double start, double end,
-                  const plat::HwCounters& counters) {
+                  const plat::HwCounters& counters = {}) {
   WFE_REQUIRE(end >= start, "a stage cannot end before it starts");
-  if (counters.instructions == 0.0 && counters.cycles == 0.0 &&
-      counters.llc_references == 0.0 && counters.llc_misses == 0.0) {
-    rp.columns.push(component, step, kind, start, end);
-  } else {
-    rp.columns.push(component, step, kind, start, end, counters);
-  }
+  rp.records.push_back(
+      met::StageRecord{component, step, kind, start, end, counters});
   if (rp.traced) trace_obs_stage(component, kind, start, end);
 }
 
@@ -412,14 +364,6 @@ struct AnalysisRun {
   double idle_since = 0.0;  ///< when the current I^A wait began
   bool waiting = false;     ///< parked until the chunk is committed
 
-  /// Layout-keyed cache for the chunk gather time: valid while neither the
-  /// producer's nor this reader's partition layout changed (stamps 0 never
-  /// match, so the first read computes).
-  double read_cache = 0.0;
-  std::uint64_t read_stamp_sim = 0;
-  std::uint64_t read_stamp_self = 0;
-
-  double read_cost(Replay& rp);
   void try_read(Replay& rp);
   void start_read(Replay& rp);
 };
@@ -457,20 +401,12 @@ struct MemberRun {
     return true;
   }
 
-  /// Layout-keyed cache for write_time(): the staging cost is a pure
-  /// function of the producer layout (plus replay constants), so it only
-  /// needs recomputing after a migration. Stamp 0 never matches a layout
-  /// epoch, so the first call computes.
-  double write_cache = 0.0;
-  std::uint64_t write_stamp = 0;
-
   /// DIMES-style distributed write: each simulation partition publishes
   /// its shard into node-local memory, in parallel. With replication the
   /// shard is additionally pushed to its ring neighbours — the transfer
-  /// cost of surviving a producer-node death. Jitter and degradation
-  /// stretches multiply *after* this, so the cached base stays valid.
-  double write_time(Replay& rp) {
-    if (write_stamp == sim.layout_epoch) return write_cache;
+  /// cost of surviving a producer-node death. Priced per stage against
+  /// the current layout, so a migration is seen by the next write.
+  double write_time(Replay& rp) const {
     const double shard = chunk_bytes / static_cast<double>(sim.node_count());
     double w = 0.0;
     for (const auto& p : sim.partitions) {
@@ -483,8 +419,6 @@ struct MemberRun {
         }
       }
     }
-    write_cache = w;
-    write_stamp = sim.layout_epoch;
     return w;
   }
 
@@ -960,16 +894,6 @@ void MemberRun::on_read_done(Replay& rp, int reader, std::uint64_t step) {
   }
 }
 
-double AnalysisRun::read_cost(Replay& rp) {
-  if (read_stamp_sim != member->sim.layout_epoch ||
-      read_stamp_self != footprint.layout_epoch) {
-    read_cache = member->read_time(rp, footprint);
-    read_stamp_sim = member->sim.layout_epoch;
-    read_stamp_self = footprint.layout_epoch;
-  }
-  return read_cache;
-}
-
 void AnalysisRun::try_read(Replay& rp) {
   idle_since = rp.engine.now();
   if (static_cast<std::int64_t>(next_step) <= member->committed) {
@@ -984,8 +908,8 @@ void AnalysisRun::start_read(Replay& rp) {
   record_stage(rp, id, next_step, StageKind::kAnaIdle, idle_since, now);
   // Fetch the chunk from the producer's node(s) (data locality:
   // co-located partitions pay memory copies, remote ones network
-  // transfers).
-  double r = read_cost(rp) * rp.jitter();
+  // transfers), priced against the current layouts of both sides.
+  double r = member->read_time(rp, footprint) * rp.jitter();
   r *= rp.transfer_stretch();
   exec_stage(rp, sx, next_step, StageKind::kRead, r, {}, [this, &rp] {
     member->on_read_done(rp, id.analysis, next_step);
@@ -1100,10 +1024,7 @@ ExecutionResult SimulatedExecutor::run_seeded(const EnsembleSpec& spec,
   }
 
   ExecutionResult result;
-  // Flush the per-replay counter accumulator once, then materialize the
-  // columns (same (start, component) stable sort as the AoS constructor).
-  result.hw_totals = rp.columns.counter_total();
-  result.trace = rp.columns.take_trace();
+  result.trace = met::Trace(std::move(rp.records));
   result.n_steps = spec.n_steps;
   result.events_processed = rp.engine.events_processed();
   result.failure_summary = std::move(rp.summary);

@@ -169,20 +169,25 @@ PlanRun::PlanRun(const EnsembleShape& shape,
   evaluator_.attach_shared_cache(options.shared_cache);
 }
 
-int PlanRun::charge(const Assignment& candidate) const {
-  if (risk_.doomed.empty()) return 0;
-  return doomed_used_of(risk_, avoid_doomed(candidate, pool_, risk_));
+const std::vector<Assignment>& PlanRun::placed(
+    const std::vector<Assignment>& candidates, std::vector<int>& charges) {
+  if (risk_.doomed.empty()) return candidates;
+  placed_.clear();
+  placed_.reserve(candidates.size());
+  charges.reserve(candidates.size());
+  for (const Assignment& c : candidates) {
+    placed_.push_back(avoid_doomed(c, pool_, risk_));
+    charges.push_back(doomed_used_of(risk_, placed_.back()));
+  }
+  return placed_;
 }
 
 std::vector<ScoredCandidate> PlanRun::score(
     const std::vector<Assignment>& candidates) {
   std::vector<int> charges;
-  if (!risk_.doomed.empty()) {
-    charges.reserve(candidates.size());
-    for (const Assignment& c : candidates) charges.push_back(charge(c));
-  }
   return risk_scored(
-      evaluator_.score_assignments(shape_, candidates, options_.probe_steps,
+      evaluator_.score_assignments(shape_, placed(candidates, charges),
+                                   options_.probe_steps,
                                    options_.probe_samples),
       risk_, options_.probe_steps, charges);
 }
@@ -190,15 +195,17 @@ std::vector<ScoredCandidate> PlanRun::score(
 std::vector<std::optional<double>> PlanRun::sample(
     const std::vector<Assignment>& arms,
     const std::vector<BatchEvaluator::ArmSample>& requests) {
+  std::vector<int> charges;
   const std::vector<BatchScore> draws = evaluator_.score_arm_samples(
-      shape_, arms, requests, options_.probe_steps);
+      shape_, placed(arms, charges), requests, options_.probe_steps);
   std::vector<std::optional<double>> rewards(draws.size());
   for (std::size_t i = 0; i < draws.size(); ++i) {
     const BatchScore& d = draws[i];
     if (!d.feasible) continue;
     rewards[i] = risk_.adjust_objective(
         d.eval.objective, d.eval.ensemble_makespan, options_.probe_steps,
-        d.eval.nodes_used, charge(arms[requests[i].arm]));
+        d.eval.nodes_used,
+        charges.empty() ? 0 : charges[requests[i].arm]);
   }
   return rewards;
 }

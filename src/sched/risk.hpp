@@ -82,8 +82,8 @@ int doomed_used_of(const RiskModel& risk, const Assignment& assignment);
 /// Relabel a canonical assignment away from the scripted-downtime nodes:
 /// canonical node i becomes the i-th node of [healthy pool nodes
 /// ascending, then doomed nodes ascending]. Identity when nothing is
-/// doomed. Sound only for node-symmetric probe scenarios (the probe view
-/// strips node-keyed faults, so scores are relabel-invariant).
+/// doomed. Straggler probes are not node-symmetric, so a candidate must
+/// be scored on the nodes this maps it to, as PlanRun does.
 Assignment avoid_doomed(const Assignment& assignment, int pool,
                         const RiskModel& risk);
 
@@ -98,9 +98,8 @@ int effective_pool(const ResourceBudget& budget, const PlanOptions& options);
 /// a BatchEvaluator on probe_scenario() with the shared cache attached.
 ///
 /// Candidates are canonical assignments over nodes 0..pool()-1. Each is
-/// charged the scripted-downtime nodes it occupies once placed, i.e. after
-/// avoid_doomed() maps it onto the pool — the same mapping schedule()
-/// applies to the winner.
+/// mapped once by avoid_doomed(), the mapping schedule() applies to the
+/// winner, and scored, sampled and charged on the nodes it is placed on.
 class PlanRun {
  public:
   PlanRun(const EnsembleShape& shape, const plat::PlatformSpec& platform,
@@ -126,14 +125,18 @@ class PlanRun {
                     std::optional<std::size_t> samples = {}) const;
 
  private:
-  /// The doomed nodes `candidate` occupies once placed (0 when none is).
-  int charge(const Assignment& candidate) const;
+  /// `candidates` mapped off the doomed nodes, with the doomed nodes each
+  /// still occupies appended to `charges`. With nothing doomed the mapping
+  /// is the identity: `candidates` itself comes back, `charges` stays empty.
+  const std::vector<Assignment>& placed(
+      const std::vector<Assignment>& candidates, std::vector<int>& charges);
 
   const EnsembleShape& shape_;
   const PlanOptions& options_;
   int pool_;
   RiskModel risk_;
   BatchEvaluator evaluator_;
+  std::vector<Assignment> placed_;  ///< placed()'s buffer, reused per call
 };
 
 }  // namespace wfe::sched

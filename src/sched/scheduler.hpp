@@ -96,6 +96,9 @@ struct PlanOptions {
   /// stragglers, network-degradation windows, and the replication write
   /// cost. Stochastic crash/transient injection is stripped via
   /// FaultSpec::probe_view() — the risk model accounts for it analytically.
+  /// Straggler windows open per node, so straggler probes are not
+  /// node-symmetric: a planner scores one labelling per canonical class,
+  /// the one avoid_doomed() places it on.
   res::FaultSpec faults;
   res::RecoveryPolicy recovery;
 

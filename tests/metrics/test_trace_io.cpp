@@ -149,6 +149,13 @@ TEST(TraceIo, RejectsNegativeDuration) {
   EXPECT_THROW((void)trace_from_text(text), SerializationError);
 }
 
+TEST(TraceIo, RejectsAnalysisIndexBelowMinusOne) {
+  // -1 is the simulation, 0.. its analyses; nothing else names a component.
+  const std::string text =
+      "WFET 1\nrecord 0 -7 0 A 0 1 0 0 0 0\nend 1\n";
+  EXPECT_THROW((void)trace_from_text(text), SerializationError);
+}
+
 TEST(TraceIo, RejectsUnknownTag) {
   const std::string text = "WFET 1\nbogus line\nend 0\n";
   EXPECT_THROW((void)trace_from_text(text), SerializationError);

@@ -143,6 +143,65 @@ TEST(NodeLoss, MigrationHookPicksTheTarget) {
   EXPECT_TRUE(r.failure_summary.complete());
 }
 
+/// One member: the simulation on `sim_node`, its analysis on `ana_node`.
+EnsembleSpec split_member(int sim_node, int ana_node) {
+  EnsembleSpec spec;
+  spec.n_steps = 8;
+  MemberSpec m;
+  m.sim = wl::gltph_like_simulation({sim_node});
+  m.analyses.push_back(wl::bipartite_like_analysis({ana_node}));
+  spec.members.push_back(std::move(m));
+  return spec;
+}
+
+/// Durations of the analysis' completed reads, keyed by start time.
+std::map<double, double> read_durations(const ExecutionResult& r) {
+  std::map<double, double> reads;
+  for (const auto& rec : r.trace.records()) {
+    if (rec.kind == StageKind::kRead) reads[rec.start] = rec.duration();
+  }
+  return reads;
+}
+
+TEST(NodeLoss, MigrationRepricesReadsAgainstTheNewLayout) {
+  // The producer starts on node 0 and its reader on node 1, so every read
+  // is a network transfer. Node 0 dies and the hook moves the producer onto
+  // the reader's node: from then on every read is a local copy. Each read
+  // must be priced on the layout it runs on, not the one the replay began
+  // with (to within the rounding of end - start at large start times).
+  SimulatedOptions options = death_of_node0();
+  options.migrate = [](const rt::MigrationRequest&) { return 1; };
+  const ExecutionResult r =
+      SimulatedExecutor(wl::cori_like_platform(), options)
+          .run(split_member(0, 1));
+  ASSERT_EQ(r.failure_summary.migrations, 1u);
+  ASSERT_TRUE(r.failure_summary.complete());
+
+  const auto one_read = [](const EnsembleSpec& spec) {
+    return read_durations(
+               SimulatedExecutor(wl::cori_like_platform()).run(spec))
+        .begin()
+        ->second;
+  };
+  const double remote = one_read(split_member(0, 1));
+  const double local = one_read(split_member(1, 1));
+  ASSERT_LT(local + 1e-6, remote);
+
+  int before = 0;
+  int after = 0;
+  for (const auto& [start, duration] : read_durations(r)) {
+    if (start < 60.0) {
+      EXPECT_NEAR(duration, remote, 1e-9) << "read at " << start;
+      ++before;
+    } else {
+      EXPECT_NEAR(duration, local, 1e-9) << "read at " << start;
+      ++after;
+    }
+  }
+  EXPECT_GT(before, 0);
+  EXPECT_GT(after, 0);
+}
+
 TEST(NodeLoss, FatalCrashSweepStaysComplete) {
   // Fatal stochastic crashes at a survivable rate: every death migrates,
   // the ensemble still finishes, and the summary stays self-consistent.

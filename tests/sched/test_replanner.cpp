@@ -3,6 +3,7 @@
 // the scenario isolation of the shared evaluation cache.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -225,6 +226,48 @@ TEST(RiskModel, PlannersPlaceOffScheduledDowntimeNodes) {
       EXPECT_FALSE(uses_node(aware, 0)) << scheduler << row.pool;
     }
   }
+}
+
+TEST(RiskModel, PlanRunPricesTheNodesItPlacesOn) {
+  // Straggler windows open per node, so a canonical candidate and the
+  // labelling avoid_doomed() places it on score differently: with nodes
+  // 0-3 scheduled to die, {0,0,1,1} lands on {4,4,5,5}, and node 5 is
+  // slow during the probe. A planning run must price the placed labelling,
+  // the nodes schedule() lands on.
+  const EnsembleShape shape = EnsembleShape::paper_like(2, 1);
+  PlanOptions options;
+  for (int node = 0; node < 4; ++node) {
+    options.faults.node_down.push_back({node, 500.0});
+  }
+  options.faults.straggler_mtbf_s = 20.0;
+  options.faults.straggler_duration_s = 30.0;
+  options.faults.straggler_factor = 3.0;
+  options.risk_aware = true;
+  const int pool = 6;
+  const Assignment canonical = {0, 0, 1, 1};
+  const RiskModel risk = RiskModel::of(options, shape.n_steps);
+  const Assignment placed = avoid_doomed(canonical, pool, risk);
+  ASSERT_EQ(placed, (Assignment{4, 4, 5, 5}));
+
+  const auto direct = [&](const Assignment& a) {
+    BatchEvaluator evaluator(wl::cori_like_platform(),
+                             probe_scenario(options), /*threads=*/1);
+    return risk_scored(
+        evaluator.score_assignments(shape, {a}, options.probe_steps,
+                                    options.probe_samples),
+        risk, options.probe_steps, {doomed_used_of(risk, a)})[0];
+  };
+  const ScoredCandidate on_placed = direct(placed);
+  ASSERT_TRUE(on_placed.feasible);
+  // The labellings really differ, or this test could not tell them apart.
+  ASSERT_LT(on_placed.objective, 0.9 * direct(canonical).objective);
+
+  PlanRun run(shape, wl::cori_like_platform(), {pool}, options);
+  const std::vector<ScoredCandidate> scored = run.score({canonical});
+  ASSERT_EQ(scored.size(), 1u);
+  EXPECT_EQ(scored[0].objective, on_placed.objective);
+  EXPECT_EQ(run.schedule("s", canonical).spec.members[1].sim.nodes,
+            (std::set<int>{5}));
 }
 
 TEST(RiskModel, SpareNodesShrinkThePlacementPool) {

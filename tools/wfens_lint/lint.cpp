@@ -291,9 +291,8 @@ struct PrivateType {
 ///  * ArmStats and the exploration log are best-arm search bookkeeping
 ///    whose confidence bounds hold only under src/sched/'s feeding
 ///    discipline (seed order, one thread, matching log).
-///  * The replay records stages through the columnar StageColumns;
-///    per-event StageRecord construction elsewhere in src/ brings back the
-///    AoS hot path.
+///  * Only the executors (src/runtime/) and the trace reader (src/metrics/)
+///    make stage records; everything else reads them from a met::Trace.
 constexpr std::array<PrivateType, 3> kPrivateTypes{{
     {"event-queue-outside-simengine",
      "priority_queue push_heap pop_heap make_heap sort_heap", "src/simengine/",
@@ -306,9 +305,9 @@ constexpr std::array<PrivateType, 3> kPrivateTypes{{
      "make_scheduler(\"bai-search\") instead of sampling arms directly"},
     {"stage-record-outside-runtime", "StageRecord",
      "src/runtime/ src/metrics/", Scope::kSrcOnly, true,
-     "per-event StageRecord construction outside src/runtime/ and "
-     "src/metrics/ reintroduces the AoS hot path; record stages through "
-     "met::StageColumns instead"},
+     "{} construction outside src/runtime/ and src/metrics/: only the "
+     "executors and the trace reader make stage records; read them from a "
+     "met::Trace instead"},
 }};
 
 /// Calls `fn` on each word of a space-separated list until it returns

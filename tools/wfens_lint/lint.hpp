@@ -50,8 +50,9 @@
 //                         exploration_log outside src/sched/.
 //                         stage-record-outside-runtime: StageRecord
 //                         construction or declaration in src/ outside
-//                         src/runtime/ and src/metrics/ (stages go through
-//                         met::StageColumns; references stay legal).
+//                         src/runtime/ and src/metrics/ (only the executors
+//                         and the trace reader make stage records; reads
+//                         through a met::Trace stay legal).
 //
 // Whole-project passes (wfens_lint --root; built on the project model in
 // project.hpp, documented in docs/ANALYSIS.md):
