@@ -66,6 +66,14 @@ Schedule BaiSearch::plan(const EnsembleShape& shape,
   std::uint64_t issued = 0;
   double reward_min = std::numeric_limits<double>::infinity();
   double reward_max = -std::numeric_limits<double>::infinity();
+  // Noise-scale estimate for the range term: the widest within-arm sample
+  // spread seen so far, over every arm ever resampled (dead ones too). A
+  // spread never shrinks, so a running maximum equals a scan of all arms.
+  double spread_max = 0.0;
+  bool any_resampled = false;
+  // Live arms in index order, compacted whenever one dies.
+  std::vector<std::size_t> survivors(arms.size());
+  std::iota(survivors.begin(), survivors.end(), std::size_t{0});
 
   // Issue one sample to each listed arm (batched: replays fan out to the
   // worker pool, but all statistics updates happen right here on the
@@ -80,10 +88,12 @@ Schedule BaiSearch::plan(const EnsembleShape& shape,
     const std::vector<std::optional<double>> rewards =
         run.sample(candidates, requests);
     issued += requests.size();
+    bool any_died = false;
     for (std::size_t i = 0; i < which.size(); ++i) {
       Arm& arm = arms[which[i]];
       if (!rewards[i]) {
         arm.alive = false;  // placement property: no draw can differ
+        any_died = true;
         continue;
       }
       const double reward = *rewards[i];
@@ -92,13 +102,19 @@ Schedule BaiSearch::plan(const EnsembleShape& shape,
       arm.max_reward = std::max(arm.max_reward, reward);
       reward_min = std::min(reward_min, reward);
       reward_max = std::max(reward_max, reward);
+      if (arm.stats.n >= 2) {
+        any_resampled = true;
+        spread_max = std::max(spread_max, arm.spread());
+      }
+    }
+    if (any_died) {
+      std::erase_if(survivors, [&](std::size_t a) { return !arms[a].alive; });
     }
   };
 
-  // Round 0: one sample per arm, so every bound is defined.
-  std::vector<std::size_t> all(arms.size());
-  std::iota(all.begin(), all.end(), std::size_t{0});
-  sample_arms(all);
+  // Round 0: one sample per arm, so every bound is defined (on a copy of
+  // the list, which sample_arms compacts).
+  sample_arms(std::vector<std::size_t>(survivors));
 
   std::size_t leader = kNone;
   for (;;) {
@@ -106,8 +122,7 @@ Schedule BaiSearch::plan(const EnsembleShape& shape,
     // lowest index = lexicographically smallest canonical placement
     // (pick_winner's order).
     leader = kNone;
-    for (std::size_t a = 0; a < arms.size(); ++a) {
-      if (!arms[a].alive || arms[a].stats.n == 0) continue;
+    for (const std::size_t a : survivors) {
       if (leader == kNone ||
           arms[a].stats.mean > arms[leader].stats.mean) {
         leader = a;
@@ -118,21 +133,13 @@ Schedule BaiSearch::plan(const EnsembleShape& shape,
           "bai-search: no feasible placement within the budget");
     }
 
-    // Noise-scale estimate for the range term: the widest within-arm
-    // sample spread seen so far; before any arm has two samples, fall
-    // back to the global reward spread (wide on purpose — the first
-    // post-init round must not eliminate anything on one draw).
-    double range = 0.0;
-    bool any_resampled = false;
-    for (const Arm& arm : arms) {
-      if (arm.stats.n >= 2) {
-        any_resampled = true;
-        range = std::max(range, arm.spread());
-      }
-    }
-    if (!any_resampled) {
-      range = reward_max > reward_min ? reward_max - reward_min : 0.0;
-    }
+    // Before any arm has two samples, fall back to the global reward
+    // spread (wide on purpose — the first post-init round must not
+    // eliminate anything on one draw).
+    const double range =
+        any_resampled ? spread_max
+                      : (reward_max > reward_min ? reward_max - reward_min
+                                                 : 0.0);
     const double log_term = exploration_log(issued, arms.size());
     const double leader_lb =
         lower_bound(arms[leader].stats, range, log_term);
@@ -144,18 +151,22 @@ Schedule BaiSearch::plan(const EnsembleShape& shape,
     const bool leader_seasoned = arms[leader].stats.n >= 2;
     std::size_t challenger = kNone;
     double challenger_ub = -std::numeric_limits<double>::infinity();
-    for (std::size_t a = 0; a < arms.size(); ++a) {
-      if (a == leader || !arms[a].alive || arms[a].stats.n == 0) continue;
-      const double ub = upper_bound(arms[a].stats, range, log_term);
-      if (leader_seasoned && arms[a].stats.n >= 2 && ub < leader_lb) {
-        arms[a].alive = false;
-        continue;
+    std::size_t kept = 0;
+    for (const std::size_t a : survivors) {
+      if (a != leader) {
+        const double ub = upper_bound(arms[a].stats, range, log_term);
+        if (leader_seasoned && arms[a].stats.n >= 2 && ub < leader_lb) {
+          arms[a].alive = false;
+          continue;
+        }
+        if (challenger == kNone || ub > challenger_ub) {
+          challenger = a;
+          challenger_ub = ub;
+        }
       }
-      if (challenger == kNone || ub > challenger_ub) {
-        challenger = a;
-        challenger_ub = ub;
-      }
+      survivors[kept++] = a;
     }
+    survivors.resize(kept);
     if (challenger == kNone) break;      // leader dominates all survivors
     if (issued >= sample_budget) break;  // budget exhausted
 

@@ -1,14 +1,20 @@
 #include "sched/eval_cache.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
-#include <cinttypes>
+#include <cstddef>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string_view>
+#include <type_traits>
 
 #include "support/error.hpp"
 #include "support/str.hpp"
+
+static_assert(std::endian::native == std::endian::little,
+              "the eval-cache record format assumes a little-endian host");
 
 namespace wfe::sched {
 
@@ -16,57 +22,57 @@ namespace {
 
 constexpr std::string_view kMagic = "wfens-eval-cache";
 /// 2: keys carry the per-plan prefix and the model digest (eval_key.hpp).
-constexpr int kVersion = 2;
+/// 3: fixed-width binary records after the header line.
+constexpr int kVersion = 3;
 
-/// Cursor over one line of a cache file; each read consumes one field and
-/// the single space after it.
+/// One entry on disk, exactly as it sits in memory: 40 bytes, no padding.
+struct Record {
+  std::uint64_t key;
+  double objective;
+  double ensemble_makespan;
+  double min_member_efficiency;
+  std::int32_t nodes_used;
+  std::uint32_t feasible;  ///< 0 or 1
+};
+static_assert(sizeof(Record) == 40 && std::is_trivially_copyable_v<Record>);
+static_assert(offsetof(Record, nodes_used) == 32 &&
+              offsetof(Record, feasible) == 36);
+static_assert(sizeof(Evaluation::nodes_used) == sizeof(std::int32_t));
+
+/// Cursor over the header line; each read consumes one field and the
+/// single space after it.
 class FieldReader {
  public:
   explicit FieldReader(std::string_view line)
       : p_(line.data()), end_(line.data() + line.size()) {}
 
   template <typename Int>
-  bool integer(Int* out, int base) {
-    const auto [ptr, ec] = std::from_chars(p_, end_, *out, base);
-    return ec == std::errc{} && advance(ptr);
-  }
-
-  /// A printf("%a") field: sign, "0x" prefix, then what from_chars' hex
-  /// format reads (which also covers inf and nan). Exact, like %a itself.
-  bool hex_double(double* out) {
-    const char* q = p_;
-    const bool negative = q != end_ && *q == '-';
-    if (negative) ++q;
-    if (end_ - q >= 2 && q[0] == '0' && (q[1] == 'x' || q[1] == 'X')) q += 2;
-    const auto [ptr, ec] = std::from_chars(q, end_, *out,
-                                           std::chars_format::hex);
-    if (ec != std::errc{}) return false;
-    if (negative) *out = -*out;
-    return advance(ptr);
+  bool integer(Int* out) {
+    const auto [ptr, ec] = std::from_chars(p_, end_, *out);
+    if (ec != std::errc{} || (ptr != end_ && *ptr != ' ')) return false;
+    p_ = ptr == end_ ? ptr : ptr + 1;
+    return true;
   }
 
   bool at_end() const { return p_ == end_; }
 
  private:
-  /// Field boundary: one space before the next field, or the line's end.
-  bool advance(const char* ptr) {
-    if (ptr != end_ && *ptr != ' ') return false;
-    p_ = ptr == end_ ? ptr : ptr + 1;
-    return true;
-  }
-
   const char* p_;
   const char* end_;
 };
 
-/// "wfens-eval-cache <version>"; false for anything else.
-bool parse_header(std::string_view header, int* version) {
+/// "wfens-eval-cache <version> <entries>", where older versions have no
+/// entry count; false for anything else.
+bool parse_header(std::string_view header, int* version,
+                  std::uint64_t* entries) {
   if (!header.starts_with(kMagic) ||
       header.substr(kMagic.size(), 1) != " ") {
     return false;
   }
   FieldReader rest(header.substr(kMagic.size() + 1));
-  return rest.integer(version, 10) && rest.at_end();
+  if (!rest.integer(version)) return false;
+  if (rest.at_end()) return *version < kVersion;
+  return rest.integer(entries) && rest.at_end();
 }
 
 std::string read_file(std::ifstream& in) {
@@ -116,7 +122,8 @@ std::size_t EvalCache::load(const std::string& path) {
 
   const std::size_t header_end = std::min(all.find('\n'), all.size());
   int version = 0;
-  if (!parse_header(all.substr(0, header_end), &version) ||
+  std::uint64_t count = 0;
+  if (!parse_header(all.substr(0, header_end), &version, &count) ||
       version > kVersion) {
     throw SerializationError(
         strprintf("%s: not a wfens-eval-cache v%d file", path.c_str(),
@@ -126,57 +133,67 @@ std::size_t EvalCache::load(const std::string& path) {
   // looked up again. Stale, not corrupt — the next save() replaces it.
   if (version < kVersion) return 0;
 
-  std::vector<KeyTable<CachedEval>::Entry> parsed;
-  std::size_t pos = header_end + 1;
-  while (pos < all.size()) {
-    const std::size_t eol = std::min(all.find('\n', pos), all.size());
-    const std::string_view line = all.substr(pos, eol - pos);
-    pos = eol + 1;
-    if (line.empty()) continue;
-    FieldReader fields(line);
-    KeyTable<CachedEval>::Entry entry;
-    Evaluation& eval = entry.value.eval;
-    int feasible = 0;
-    if (!fields.integer(&entry.key, 16) || !fields.integer(&feasible, 10) ||
-        !fields.hex_double(&eval.objective) ||
-        !fields.hex_double(&eval.ensemble_makespan) ||
-        !fields.hex_double(&eval.min_member_efficiency) ||
-        !fields.integer(&eval.nodes_used, 10) || !fields.at_end()) {
-      throw SerializationError(strprintf("%s: malformed cache line: %s",
-                                         path.c_str(),
-                                         std::string(line).c_str()));
+  const std::string_view body =
+      all.substr(std::min(header_end + 1, all.size()));
+  if (header_end == all.size() || body.size() % sizeof(Record) != 0 ||
+      body.size() / sizeof(Record) != count) {
+    throw SerializationError(strprintf(
+        "%s: torn file: header promises %llu entries, body holds %zu bytes",
+        path.c_str(), static_cast<unsigned long long>(count), body.size()));
+  }
+  const auto record = [&body](std::size_t i) {
+    Record r{};
+    std::memcpy(&r, body.data() + i * sizeof(Record), sizeof(Record));
+    return r;
+  };
+  for (std::size_t i = 0; i < count; ++i) {
+    if (const Record r = record(i); r.feasible > 1) {
+      throw SerializationError(
+          strprintf("%s: entry %016llx has feasible = %u", path.c_str(),
+                    static_cast<unsigned long long>(r.key), r.feasible));
     }
-    entry.value.feasible = feasible != 0;
-    parsed.push_back(entry);
   }
   const support::RankGuard<Mutex> lock(mutex_);
-  entries_.reserve(entries_.size() + parsed.size());
-  for (const auto& [key, value] : parsed) entries_.insert_or_assign(key, value);
-  return parsed.size();
+  entries_.reserve(entries_.size() + count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const Record r = record(i);
+    entries_.insert_or_assign(
+        r.key, {r.feasible == 1,
+                {r.objective, r.ensemble_makespan, r.min_member_efficiency,
+                 r.nodes_used}});
+  }
+  return count;
 }
 
 std::size_t EvalCache::save(const std::string& path) const {
-  std::vector<KeyTable<CachedEval>::Entry> sorted;
+  std::vector<Record> records;
   {
     const support::RankGuard<Mutex> lock(mutex_);
-    const auto entries = entries_.entries();
-    sorted.assign(entries.begin(), entries.end());
+    records.reserve(entries_.size());
+    for (const auto& [key, entry] : entries_.entries()) {
+      records.push_back({key, entry.eval.objective,
+                         entry.eval.ensemble_makespan,
+                         entry.eval.min_member_efficiency,
+                         entry.eval.nodes_used, entry.feasible ? 1u : 0u});
+    }
   }
-  std::sort(sorted.begin(), sorted.end(),
-            [](const auto& a, const auto& b) { return a.key < b.key; });
-  std::string body = strprintf("%s %d\n", std::string(kMagic).c_str(),
-                               kVersion);
-  for (const auto& [key, entry] : sorted) {
-    body += strprintf("%016" PRIx64 " %d %a %a %a %d\n", key,
-                      entry.feasible ? 1 : 0, entry.eval.objective,
-                      entry.eval.ensemble_makespan,
-                      entry.eval.min_member_efficiency, entry.eval.nodes_used);
+  std::sort(records.begin(), records.end(),
+            [](const Record& a, const Record& b) { return a.key < b.key; });
+  // One buffer: the text header line, then the records as they sit in
+  // memory (sorted, padding-free, so equal content gives equal bytes).
+  std::string file = strprintf("%s %d %zu\n", std::string(kMagic).c_str(),
+                               kVersion, records.size());
+  const std::size_t header_size = file.size();
+  file.resize(header_size + records.size() * sizeof(Record));
+  if (!records.empty()) {
+    std::memcpy(file.data() + header_size, records.data(),
+                records.size() * sizeof(Record));
   }
   const std::string tmp = path + ".tmp";
   {
-    std::ofstream out(tmp, std::ios::trunc);
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) throw Error(strprintf("cannot write %s", tmp.c_str()));
-    out << body;
+    out.write(file.data(), static_cast<std::streamsize>(file.size()));
     if (!out.flush()) {
       throw Error(strprintf("short write to %s", tmp.c_str()));
     }
@@ -184,7 +201,7 @@ std::size_t EvalCache::save(const std::string& path) const {
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     throw Error(strprintf("cannot move %s into place", tmp.c_str()));
   }
-  return sorted.size();
+  return records.size();
 }
 
 EvalCache& EvalCache::process() {

@@ -12,19 +12,25 @@
 //
 // Storage is a flat KeyTable (key_table.hpp). BatchEvaluator reads and
 // writes it in bulk — one lock acquisition for a batch's lookups, one for
-// its publishes — and load() parses a whole file before taking the lock
+// its publishes — and load() checks a whole file before taking the lock
 // once to merge it.
 //
-// Persistence is a line-oriented text format ("wfens-eval-cache 2"), one
-// entry per line, written sorted by key via tmp+rename so concurrent
-// writers cannot tear the file and repeated saves of equal content are
-// byte-identical. Doubles round-trip through hex floats, so a reloaded
-// entry reproduces the in-memory score bit-for-bit. Invalidation is
+// Persistence is format 3: one text header line, "wfens-eval-cache 3
+// <entries>\n", then <entries> fixed-width 40-byte little-endian records
+// sorted by key: u64 key, f64 objective, f64 ensemble_makespan, f64
+// min_member_efficiency, i32 nodes_used, u32 feasible (0 or 1). The
+// records are the in-memory bytes, so a reloaded entry reproduces the
+// in-memory score bit-for-bit by construction (-0.0, subnormals, inf
+// included), load() decodes by memcpy, and the format is built only on a
+// little-endian host (a static_assert). save() writes via tmp+rename so
+// concurrent writers cannot tear the file, and repeated saves of equal
+// content are byte-identical. A body whose size is not entries x 40, or a
+// feasible field other than 0 or 1, is rejected whole. Invalidation is
 // automatic: any change to the platform, the demand's cost constants, the
 // probe depth or the replay model (the model digest) changes the key, so
 // stale entries are simply never looked up again. A file of an older
-// format version is stale as a whole: it loads as empty and the next
-// save() overwrites it.
+// format version (the text formats 1 and 2) is stale as a whole: it loads
+// as empty and the next save() overwrites it.
 //
 // Thread safety: all operations take one leaf-ranked mutex
 // (support::kRankEvalCache); callers never hold it while simulating.
@@ -71,8 +77,8 @@ class EvalCache {
   /// Merge entries from a cache file into memory. Returns the number of
   /// entries read; a missing file is an empty cache, and so is a file of
   /// an older format version (stale, returns 0). Throws
-  /// wfe::SerializationError on a foreign, newer-version or malformed file,
-  /// merging nothing.
+  /// wfe::SerializationError on a foreign, newer-version, torn or
+  /// malformed file, merging nothing.
   std::size_t load(const std::string& path);
 
   /// Write every entry to `path` (sorted by key, tmp+rename). Returns the

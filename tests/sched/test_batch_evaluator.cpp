@@ -196,6 +196,29 @@ TEST(BatchEvaluator, StragglerProbesKeyNodeIdsAsTheyAre) {
   EXPECT_EQ(together.evaluations(), placements.size() + 2);
 }
 
+TEST(BatchEvaluator, SmallInterconnectGroupsKeyNodeIdsAsTheyAre) {
+  // With two nodes per interconnect group, {0,1,2,3} and {0,2,1,3} put the
+  // coupled pairs on different hops: one batch must replay both and serve
+  // each the score it gets when scored alone.
+  auto small_groups = platform();
+  small_groups.interconnect.group_size = 2;
+  small_groups.interconnect.inter_group_hops = 40;
+  const auto shape = EnsembleShape::paper_like(2, 1);
+  const std::vector<Assignment> placements = {{0, 1, 2, 3}, {0, 2, 1, 3}};
+  BatchEvaluator together(small_groups, /*threads=*/1);
+  const auto scores = together.score_assignments(shape, placements);
+  EXPECT_EQ(together.evaluations(), 2u);
+  EXPECT_EQ(together.cache_hits(), 0u);
+  const double solo[] = {0.005005924, 0.005005930};
+  for (std::size_t i = 0; i < placements.size(); ++i) {
+    BatchEvaluator alone(small_groups, /*threads=*/1);
+    const auto own = alone.score_assignments(shape, {placements[i]});
+    ASSERT_TRUE(scores[i].feasible);
+    EXPECT_EQ(scores[i].eval.objective, own[0].eval.objective) << i;
+    EXPECT_NEAR(scores[i].eval.objective, solo[i], 1e-9) << i;
+  }
+}
+
 TEST(BatchEvaluator, CountsEngineEvents) {
   const auto shape = EnsembleShape::paper_like(2, 1);
   BatchEvaluator batch(platform(), /*threads=*/2);

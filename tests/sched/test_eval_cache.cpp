@@ -7,7 +7,9 @@
 
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -59,6 +61,33 @@ CachedEval sample(double objective) {
   return e;
 }
 
+/// One format-3 record: u64 key, f64 objective, f64 makespan, f64 min
+/// efficiency, i32 nodes_used, u32 feasible, little-endian, 40 bytes.
+std::string record(std::uint64_t key, double objective,
+                   std::uint32_t feasible = 1) {
+  const double makespan = objective * 2.0;
+  const double efficiency = 0.5;
+  const std::int32_t nodes = 2;
+  std::string bytes(40, '\0');
+  std::memcpy(&bytes[0], &key, 8);
+  std::memcpy(&bytes[8], &objective, 8);
+  std::memcpy(&bytes[16], &makespan, 8);
+  std::memcpy(&bytes[24], &efficiency, 8);
+  std::memcpy(&bytes[32], &nodes, 4);
+  std::memcpy(&bytes[36], &feasible, 4);
+  return bytes;
+}
+
+void write_file(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary);
+  out << bytes;
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), {}};
+}
+
 // One-key forms of the span API.
 void put(EvalCache& cache, std::uint64_t key, const CachedEval& value) {
   cache.insert(std::span<const std::uint64_t>(&key, 1),
@@ -104,7 +133,7 @@ TEST_F(EvalCacheFiles, SaveLoadRoundTripsBitExactly) {
   const std::optional<CachedEval> out = get(loaded, 0x1234);
   ASSERT_TRUE(out);
   EXPECT_TRUE(out->feasible);
-  // Bit-exact doubles: the hex-float format must not lose mantissa bits.
+  // Bit-exact doubles: the binary records must not lose mantissa bits.
   EXPECT_EQ(out->eval.objective, 0.1);
   EXPECT_EQ(out->eval.ensemble_makespan, 0.1 * 2.0 + 0.125);
   EXPECT_EQ(out->eval.min_member_efficiency, 0.7310585786300049);
@@ -153,58 +182,105 @@ TEST_F(EvalCacheFiles, MissingFileLoadsAsEmpty) {
   EXPECT_EQ(cache.size(), 0u);
 }
 
+TEST_F(EvalCacheFiles, LoadsAHandWrittenFormat3File) {
+  write_file(path("c"), "wfens-eval-cache 3 2\n" + record(1, 0.25) +
+                            record(2, 0.5, /*feasible=*/0));
+  EvalCache cache;
+  EXPECT_EQ(cache.load(path("c")), 2u);
+  const std::optional<CachedEval> one = get(cache, 1);
+  ASSERT_TRUE(one);
+  EXPECT_TRUE(one->feasible);
+  EXPECT_EQ(one->eval.objective, 0.25);
+  EXPECT_EQ(one->eval.ensemble_makespan, 0.5);
+  EXPECT_EQ(one->eval.min_member_efficiency, 0.5);
+  EXPECT_EQ(one->eval.nodes_used, 2);
+  const std::optional<CachedEval> two = get(cache, 2);
+  ASSERT_TRUE(two);
+  EXPECT_FALSE(two->feasible);
+}
+
 TEST_F(EvalCacheFiles, RejectsForeignAndMalformedFiles) {
-  {
-    std::ofstream out(path("foreign"));
-    out << "not-a-cache 1\n";
-  }
-  {
-    std::ofstream out(path("torn"));
-    out << "wfens-eval-cache 2\ndeadbeef 1\n";  // truncated line
-  }
-  {
-    std::ofstream out(path("newer"));
-    out << "wfens-eval-cache 3\n";  // a format this build cannot read
-  }
+  write_file(path("foreign"), "not-a-cache 1\n");
+  // A body that is not a whole number of 40-byte records.
+  write_file(path("torn"),
+             "wfens-eval-cache 3 1\n" + record(0xdeadbeef, 1.0).substr(0, 12));
+  // A format this build cannot read.
+  write_file(path("newer"), "wfens-eval-cache 4 1\n" + record(1, 1.0));
+  write_file(path("no_count"), "wfens-eval-cache 3\n");
   EvalCache cache;
   EXPECT_THROW(cache.load(path("foreign")), SerializationError);
   EXPECT_THROW(cache.load(path("torn")), SerializationError);
   EXPECT_THROW(cache.load(path("newer")), SerializationError);
+  EXPECT_THROW(cache.load(path("no_count")), SerializationError);
   EXPECT_EQ(cache.size(), 0u);
 }
 
 TEST_F(EvalCacheFiles, TornFileMergesNothing) {
-  {
-    std::ofstream out(path("torn"));
-    out << "wfens-eval-cache 2\n"
-        << "0000000000000001 1 0x1p+0 0x1p+1 0x1p-1 2\n"
-        << "0000000000000002 1 0x1p+0\n";
-  }
+  // One whole record, then a second cut short.
+  write_file(path("torn"), "wfens-eval-cache 3 2\n" + record(1, 1.0) +
+                               record(2, 1.0).substr(0, 24));
   EvalCache cache;
   EXPECT_THROW(cache.load(path("torn")), SerializationError);
   EXPECT_EQ(cache.size(), 0u);
 }
 
-TEST_F(EvalCacheFiles, OlderVersionIsStaleNotCorrupt) {
-  // A format-1 file (keys without the model digest) from before the
-  // re-key: it loads as empty instead of throwing, and the next save
-  // replaces it with the current format.
-  {
-    std::ofstream out(path("v1"));
-    out << "wfens-eval-cache 1\n"
-        << "00000000000004d2 1 0x1.999999999999ap-4 0x1.5p+1 0x1p-1 3\n";
-  }
+TEST_F(EvalCacheFiles, EntryCountMustMatchTheBody) {
+  // Whole records, but not as many as the header promises, either way.
+  write_file(path("short"),
+             "wfens-eval-cache 3 3\n" + record(1, 1.0) + record(2, 2.0));
+  write_file(path("long"),
+             "wfens-eval-cache 3 1\n" + record(1, 1.0) + record(2, 2.0));
   EvalCache cache;
-  EXPECT_EQ(cache.load(path("v1")), 0u);
+  EXPECT_THROW(cache.load(path("short")), SerializationError);
+  EXPECT_THROW(cache.load(path("long")), SerializationError);
   EXPECT_EQ(cache.size(), 0u);
-  put(cache, 1, sample(0.5));
-  EXPECT_EQ(cache.save(path("v1")), 1u);
-  EvalCache reloaded;
-  EXPECT_EQ(reloaded.load(path("v1")), 1u);
-  std::ifstream in(path("v1"));
-  std::string header;
-  std::getline(in, header);
-  EXPECT_EQ(header, "wfens-eval-cache 2");
+}
+
+TEST_F(EvalCacheFiles, FeasibleFieldIsZeroOrOne) {
+  write_file(path("c"), "wfens-eval-cache 3 2\n" + record(1, 1.0) +
+                            record(2, 2.0, /*feasible=*/2));
+  EvalCache cache;
+  EXPECT_THROW(cache.load(path("c")), SerializationError);
+  EXPECT_EQ(cache.size(), 0u);
+}
+
+TEST_F(EvalCacheFiles, OlderVersionIsStaleNotCorrupt) {
+  // Text files of formats 1 (keys without the model digest) and 2 (hex
+  // floats, one entry per line): each loads as empty instead of throwing,
+  // and the next save replaces it with the current format.
+  const std::string older[] = {
+      "wfens-eval-cache 1\n"
+      "00000000000004d2 1 0x1.999999999999ap-4 0x1.5p+1 0x1p-1 3\n",
+      "wfens-eval-cache 2\n"
+      "00000000000004d2 1 0x1.999999999999ap-4 0x1.5p+1 0x1p-1 3\n"};
+  for (const std::string& text : older) {
+    write_file(path("old"), text);
+    EvalCache cache;
+    EXPECT_EQ(cache.load(path("old")), 0u);
+    EXPECT_EQ(cache.size(), 0u);
+    put(cache, 1, sample(0.5));
+    EXPECT_EQ(cache.save(path("old")), 1u);
+    EvalCache reloaded;
+    EXPECT_EQ(reloaded.load(path("old")), 1u);
+    std::ifstream in(path("old"));
+    std::string header;
+    std::getline(in, header);
+    EXPECT_EQ(header, "wfens-eval-cache 3 1");
+  }
+}
+
+TEST_F(EvalCacheFiles, SavedFileIsTheHeaderThenFortyBytesPerEntry) {
+  EvalCache cache;
+  put(cache, 2, sample(0.2));
+  put(cache, 1, sample(0.1));
+  cache.save(path("c"));
+  const std::string bytes = read_bytes(path("c"));
+  const std::string header = "wfens-eval-cache 3 2\n";
+  ASSERT_EQ(bytes.size(), header.size() + 2 * 40);
+  EXPECT_EQ(bytes.substr(0, header.size()), header);
+  std::uint64_t first_key = 0;
+  std::memcpy(&first_key, bytes.data() + header.size(), 8);
+  EXPECT_EQ(first_key, 1u);  // sorted by key
 }
 
 TEST_F(EvalCacheFiles, SpecialValuesRoundTripBitExactly) {

@@ -10,7 +10,9 @@
 // exec::ThreadPool. With --cache PATH all units share one process-wide
 // sched::EvalCache, loaded from and saved back to PATH, so a repeated
 // campaign regeneration — same platform fingerprint, same demand digest —
-// re-simulates nothing. Without it the campaign runs cold and reads or
+// re-simulates nothing. A PATH this build cannot read (foreign, newer
+// format, torn) is reported on stderr and left as found; the campaign then
+// runs cold and saves nothing. Without it the campaign runs cold and reads or
 // writes no file; --out writes a flat JSON report (CAMPAIGN.json-style)
 // for regression diffs.
 //
@@ -110,11 +112,20 @@ int main(int argc, char** argv) {
     }
 
     sched::EvalCache* shared = nullptr;
+    bool save_cache = false;  // false when the file could not be read
     if (!cache_path.empty()) {
       shared = &sched::EvalCache::process();
-      const std::size_t loaded = shared->load(cache_path);
-      std::cout << "cache: " << cache_path << " (" << loaded
-                << " entries loaded)\n\n";
+      try {
+        const std::size_t loaded = shared->load(cache_path);
+        std::cout << "cache: " << cache_path << " (" << loaded
+                  << " entries loaded)\n\n";
+        save_cache = true;
+      } catch (const SerializationError& e) {
+        // A foreign, newer or torn file: run cold and never overwrite what
+        // this build cannot read.
+        std::cerr << "cache: " << cache_path << " unreadable (" << e.what()
+                  << "); running cold, file left as found\n";
+      }
     } else {
       std::cout << "cache: disabled\n\n";
     }
@@ -140,7 +151,7 @@ int main(int argc, char** argv) {
           "plan campaign total: %zu fresh simulations, %zu shared-cache "
           "hits\n",
           plan_evals, plan_shared);
-      if (shared) {
+      if (save_cache) {
         const std::size_t saved = shared->save(cache_path);
         std::cout << "cache: " << saved << " entries saved\n";
       }
@@ -178,7 +189,7 @@ int main(int argc, char** argv) {
                            "%zu cache hits\n",
                            total_evals, total_hits);
 
-    if (shared) {
+    if (save_cache) {
       const std::size_t saved = shared->save(cache_path);
       std::cout << "cache: " << saved << " entries saved\n";
     }
