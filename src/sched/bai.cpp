@@ -38,14 +38,11 @@ Schedule BaiSearch::plan(const EnsembleShape& shape,
                          const plat::PlatformSpec& platform,
                          const ResourceBudget& budget,
                          const PlanOptions& options) const {
-  const std::size_t slots = slot_count(shape);
-  WFE_REQUIRE(slots <= 12, "bai-search capped at 12 components");
-  PlanRun run(shape, platform, budget, options);
   // Arms: the same candidate set exhaustive scores, in the same
   // lexicographic canonical order — so "lowest index" is the pick_winner
   // tie-break and the two schedulers are comparable arm for arm.
-  const std::vector<Assignment> candidates =
-      enumerate_assignments(slots, run.pool());
+  PlanRun run(shape, platform, budget, options, PlanRun::Space::kExhaustive);
+  const std::vector<Assignment>& candidates = run.candidates();
   if (options.jitter_cv == 0.0) {
     // Deterministic degenerate case: every arm's objective is a constant,
     // so the optimal sampling rule is one probe per arm and the search IS

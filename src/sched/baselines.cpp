@@ -25,7 +25,7 @@ Schedule RoundRobin::plan(const EnsembleShape& shape,
                           const plat::PlatformSpec& platform,
                           const ResourceBudget& budget,
                           const PlanOptions& /*options*/) const {
-  WFE_REQUIRE(!shape.members.empty(), "shape has no members");
+  check_budget(shape, platform, budget);
   const std::vector<int> cores = component_cores(shape);
   std::vector<int> free(static_cast<std::size_t>(budget.node_pool),
                         platform.node.cores);
@@ -57,7 +57,7 @@ Schedule RandomPlacement::plan(const EnsembleShape& shape,
                                const plat::PlatformSpec& platform,
                                const ResourceBudget& budget,
                                const PlanOptions& /*options*/) const {
-  WFE_REQUIRE(!shape.members.empty(), "shape has no members");
+  check_budget(shape, platform, budget);
   const std::size_t slots = slot_count(shape);
   Xoshiro256 rng(seed_);
   // Candidate generator + first-feasible selection: attempts are drawn in

@@ -40,12 +40,7 @@ BatchEvaluator::BatchEvaluator(plat::PlatformSpec platform, int threads)
 BatchEvaluator::BatchEvaluator(plat::PlatformSpec platform,
                                rt::SimulatedOptions scenario, int threads)
     : pool_(threads),
-      // Node names matter to the score under straggler windows (they open
-      // per node) and across interconnect groups (hop_count charges by
-      // node / group_size): relabel only when neither can tell nodes apart.
-      keys_(platform.node_count,
-            /*relabel=*/scenario.faults.straggler_mtbf_s <= 0.0 &&
-                platform.node_count <= platform.interconnect.group_size) {
+      keys_(node_classes(platform, scenario.faults)) {
   platform.validate();
   platform_fp_ = platform.fingerprint();
   scenario_fp_ = scenario_fingerprint(scenario);

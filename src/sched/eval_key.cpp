@@ -56,8 +56,6 @@ std::uint64_t demand_of(const std::vector<Member>& members) {
   return h.digest();
 }
 
-constexpr int kOutsidePool = -1;
-
 }  // namespace
 
 std::uint64_t model_digest() {
@@ -114,38 +112,15 @@ std::uint64_t key_prefix(std::uint64_t platform_fp, std::uint64_t scenario_fp,
   return h.digest();
 }
 
-PlacementKeys::PlacementKeys(int node_count, bool relabel)
-    : relabel_nodes_(relabel),
-      relabel_(static_cast<std::size_t>(node_count > 0 ? node_count : 0), -1) {
-}
-
-int PlacementKeys::label(int node) {
-  if (node < 0 || static_cast<std::size_t>(node) >= relabel_.size()) {
-    return kOutsidePool;
-  }
-  if (!relabel_nodes_) return node;
-  int& l = relabel_[static_cast<std::size_t>(node)];
-  if (l < 0) {
-    l = static_cast<int>(seen_.size());
-    seen_.push_back(node);
-  }
-  return l;
-}
-
-void PlacementKeys::clear() {
-  for (const int node : seen_) relabel_[static_cast<std::size_t>(node)] = -1;
-  seen_.clear();
-}
-
 std::uint64_t PlacementKeys::of(std::uint64_t prefix,
                                 const Assignment& assignment) {
   Fnv1a h;
   h.add(prefix);
   for (const int node : assignment) {
     h.add(std::size_t{1});
-    h.add(label(node));
+    h.add(relabel_(node));
   }
-  clear();
+  relabel_.reset();
   return h.digest();
 }
 
@@ -155,13 +130,13 @@ std::uint64_t PlacementKeys::of(std::uint64_t prefix,
   h.add(prefix);
   const auto add_nodes = [&](const std::set<int>& nodes) {
     h.add(nodes.size());
-    for (const int node : nodes) h.add(label(node));
+    for (const int node : nodes) h.add(relabel_(node));
   };
   for (const rt::MemberSpec& m : spec.members) {
     add_nodes(m.sim.nodes);
     for (const rt::AnalysisSpec& a : m.analyses) add_nodes(a.nodes);
   }
-  clear();
+  relabel_.reset();
   return h.digest();
 }
 
@@ -185,17 +160,17 @@ std::uint64_t PlacementKeys::sample_identity(const EnsembleShape& shape,
     h.add(m.sim.stride);
     add_cost(h, m.sim.cost);
     h.add(std::size_t{1});
-    h.add(label(assignment[slot++]));
+    h.add(relabel_(assignment[slot++]));
     h.add(m.analyses.size());
     for (const rt::AnalysisSpec& a : m.analyses) {
       h.add(a.cores);
       h.add(std::string_view(a.kernel));
       add_cost(h, a.cost);
       h.add(std::size_t{1});
-      h.add(label(assignment[slot++]));
+      h.add(relabel_(assignment[slot++]));
     }
   }
-  clear();
+  relabel_.reset();
   return h.digest();
 }
 

@@ -8,21 +8,24 @@
 //        demand digest, model digest)
 //
 // The placement part is the canonical node list: per component, in place()'s
-// slot order, the component's node count and its node ids relabeled in
-// first-appearance order. On the modelled homogeneous pool, placements that
-// differ only in node naming replay identically, so they share one key. The
-// exception is a probe scenario with straggler windows: those open per node,
-// so there node ids are keyed unrelabeled. Canonical assignments already
-// name their nodes in first-appearance order, so they key alike both ways. A
-// spec scored through score_specs() and the assignment that places the same
-// demand the same way through score_assignments() produce the same stream,
-// hence the same key: the two entry points share cache entries.
+// slot order, the component's node count and its node ids relabeled onto
+// their orbit representative under the evaluator's replay classes
+// (candidates.hpp, node_classes()): within each class, in first-appearance
+// order, onto the class's nodes ascending. Placements in one orbit replay
+// identically, so they share one key. With one class over the platform
+// this is plain first-appearance relabeling; when the probe tells nodes
+// apart (straggler windows, several interconnect groups) every node is its
+// own class and node ids are keyed as they are. A spec scored through
+// score_specs() and the assignment that places the same demand the same way
+// through score_assignments() produce the same stream, hence the same key:
+// the two entry points share cache entries.
 //
 // The spec's name and step count are not part of a key — names only label
 // placements, and probes override the step count.
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "runtime/spec.hpp"
@@ -51,15 +54,14 @@ std::uint64_t key_prefix(std::uint64_t platform_fp, std::uint64_t scenario_fp,
                          std::uint64_t probe_steps, std::uint64_t demand,
                          std::uint64_t model);
 
-/// Keys placements under a prefix. Node ids are relabeled through a flat
-/// table indexed by node id and reused across calls, so a key costs no
-/// allocation. With `relabel == false` node ids are keyed as they are, for
-/// scenarios that tell nodes apart. Ids outside [0, node_count) all hash as
-/// one sentinel label either way: every spec holding one fails validation,
-/// so they all score alike.
+/// Keys placements under a prefix. Node ids are relabeled onto their orbit
+/// representative under `classes` through a table reused across calls, so
+/// a key costs no allocation. Ids outside the classes all hash as one
+/// sentinel label: every spec holding one fails validation, so they all
+/// score alike.
 class PlacementKeys {
  public:
-  explicit PlacementKeys(int node_count, bool relabel = true);
+  explicit PlacementKeys(NodeClasses classes) : relabel_(std::move(classes)) {}
 
   /// One node per slot, in place()'s slot order.
   std::uint64_t of(std::uint64_t prefix, const Assignment& assignment);
@@ -79,12 +81,7 @@ class PlacementKeys {
                                 std::uint64_t scenario_fp);
 
  private:
-  int label(int node);
-  void clear();
-
-  bool relabel_nodes_ = true;
-  std::vector<int> relabel_;  // node id -> label, -1 = not seen yet
-  std::vector<int> seen_;     // ids labeled by the current key
+  Relabel relabel_;
 };
 
 }  // namespace wfe::sched

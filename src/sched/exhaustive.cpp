@@ -21,15 +21,12 @@ Schedule Exhaustive::plan(const EnsembleShape& shape,
                           const plat::PlatformSpec& platform,
                           const ResourceBudget& budget,
                           const PlanOptions& options) const {
-  const std::size_t slots = slot_count(shape);
-  WFE_REQUIRE(slots <= 12, "exhaustive search capped at 12 components");
-  PlanRun run(shape, platform, budget, options);
-  // Generate: every canonically distinct assignment, in lexicographic
-  // order. Score: fan out to the worker pool, memoized. Reduce: canonical
-  // winner — identical to scoring one assignment at a time in this order.
-  const std::vector<Assignment> candidates =
-      enumerate_assignments(slots, run.pool());
-  return run.schedule(name(), exhaustive_winner(run, candidates));
+  // Generate: one candidate per orbit of the plan's node classes, in
+  // lexicographic order, before any worker starts. Score: fan out to the
+  // worker pool, memoized. Reduce: canonical winner — identical to scoring
+  // one assignment at a time in this order.
+  PlanRun run(shape, platform, budget, options, PlanRun::Space::kExhaustive);
+  return run.schedule(name(), exhaustive_winner(run, run.candidates()));
 }
 
 }  // namespace wfe::sched

@@ -166,10 +166,7 @@ Schedule GreedyColocation::plan(const EnsembleShape& shape,
                                 const plat::PlatformSpec& platform,
                                 const ResourceBudget& budget,
                                 const PlanOptions& /*options*/) const {
-  WFE_REQUIRE(!shape.members.empty(), "shape has no members");
-  WFE_REQUIRE(budget.node_pool >= 1 &&
-                  budget.node_pool <= platform.node_count,
-              "node pool must fit the platform");
+  check_budget(shape, platform, budget);
 
   std::optional<std::vector<int>> assignment =
       colocated_assignment(shape, platform, budget);

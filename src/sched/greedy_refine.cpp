@@ -1,5 +1,7 @@
 #include "sched/greedy_refine.hpp"
 
+#include <algorithm>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -15,12 +17,22 @@ Schedule GreedyRefine::plan(const EnsembleShape& shape,
                             const ResourceBudget& budget,
                             const PlanOptions& options) const {
   PlanRun run(shape, platform, budget, options);
-  // Seeds: the constructive passes over the placement pool, canonicalized.
-  const ResourceBudget pool{run.pool()};
+  // Seeds: the constructive passes over the placement pool, laid out on
+  // the healthy nodes first and the doomed ones last, then canonicalized. A
+  // seed packs onto its lowest positions, and one that started on a doomed
+  // node could not climb off it one component at a time. This is the one
+  // place the search orders node classes.
+  const std::vector<int>& doomed = run.risk().doomed;
+  std::vector<int> layout(static_cast<std::size_t>(run.pool()));
+  std::iota(layout.begin(), layout.end(), 0);
+  std::stable_partition(layout.begin(), layout.end(), [&](int node) {
+    return !std::binary_search(doomed.begin(), doomed.end(), node);
+  });
   std::vector<Assignment> seeds;
   for (auto* build : {&colocated_assignment, &sims_first_assignment}) {
-    if (auto a = (*build)(shape, platform, pool)) {
-      Assignment canon = canonical(*a, pool.node_pool);
+    if (auto a = (*build)(shape, platform, {run.pool()})) {
+      for (int& node : *a) node = layout[static_cast<std::size_t>(node)];
+      Assignment canon = canonical(*a, run.classes());
       if (seeds.empty() || seeds.front() != canon) {
         seeds.push_back(std::move(canon));
       }
@@ -46,7 +58,7 @@ Schedule GreedyRefine::plan(const EnsembleShape& shape,
   // --risk-aware the climb follows the risk-adjusted objective.
   for (;;) {
     const std::vector<Assignment> neighbors =
-        neighbor_assignments(incumbent, pool.node_pool);
+        neighbor_assignments(incumbent, run.classes());
     if (neighbors.empty()) break;
     scored = run.score(neighbors);
     winner = pick_winner(scored, neighbors);

@@ -9,17 +9,22 @@
 
 namespace wfe::sched {
 
-RePlanner::RePlanner(EnsembleShape shape, plat::PlatformSpec platform,
+namespace {
+
+/// The offline plan's options, its spare nodes returned to the pool: they
+/// are the headroom repairs migrate onto.
+PlanOptions repair_options(PlanOptions options) {
+  options.spare_nodes = 0;
+  return options;
+}
+
+}  // namespace
+
+RePlanner::RePlanner(EnsembleShape shape, const plat::PlatformSpec& platform,
                      PlanOptions options)
     : shape_(std::move(shape)),
-      options_(std::move(options)),
-      evaluator_(std::move(platform), probe_scenario(options_),
-                 options_.threads),
-      risk_(RiskModel::of(options_, shape_.n_steps)) {
-  WFE_REQUIRE(!shape_.members.empty(), "re-planner needs a non-empty shape");
-  WFE_REQUIRE(options_.probe_samples >= 1,
-              "probe-samples must be at least 1");
-  evaluator_.attach_shared_cache(options_.shared_cache);
+      options_(repair_options(std::move(options))),
+      run_(shape_, platform, {platform.node_count}, options_) {
   slot_offset_.reserve(shape_.members.size());
   std::size_t offset = 0;
   for (const MemberShape& m : shape_.members) {
@@ -99,19 +104,8 @@ int RePlanner::replan_locked(const rt::MigrationRequest& request) {
     candidates.push_back(std::move(candidate));
   }
 
-  // Same fixed-budget sampling rule as the planners.
-  const std::vector<BatchScore> batch = evaluator_.score_assignments(
-      shape_, candidates, options_.probe_steps, options_.probe_samples);
-  // Repair candidates carry real node ids, so charge each for the
-  // scripted-downtime nodes it actually occupies — migrating onto a node
-  // that is itself scheduled to die should rank below a healthy target.
-  std::vector<int> doomed_used(candidates.size(), 0);
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    doomed_used[i] = doomed_used_of(risk_, candidates[i]);
-  }
-  const std::vector<ScoredCandidate> scored =
-      risk_scored(batch, risk_, options_.probe_steps, doomed_used);
-  const std::optional<std::size_t> winner = pick_winner(scored, candidates);
+  const std::optional<std::size_t> winner =
+      pick_winner(run_.score(candidates), candidates);
   if (!winner) return -1;
 
   ++replans_;
@@ -126,17 +120,12 @@ std::size_t RePlanner::replans() const {
 
 std::size_t RePlanner::evaluations() const {
   support::RankGuard guard(mutex_);
-  return evaluator_.evaluations();
+  return run_.evaluations();
 }
 
 double RePlanner::last_latency_s() const {
   support::RankGuard guard(mutex_);
   return last_latency_s_;
-}
-
-void RePlanner::attach_shared_cache(EvalCache* shared) {
-  support::RankGuard guard(mutex_);
-  evaluator_.attach_shared_cache(shared);
 }
 
 }  // namespace wfe::sched

@@ -5,12 +5,14 @@
 // loses a node, the executor calls back with the dead node and the set of
 // surviving nodes; the re-planner repairs ONLY the affected member's slots
 // — every occurrence of the dead node in that member is rehomed to one
-// surviving target — and scores each candidate target with the same
-// BatchEvaluator the offline schedulers use (same probe scenario, same
-// memo/EvalCache tiers, so repeated re-plans and campaign reruns pay
-// nothing twice). Under PlanOptions::risk_aware the candidates are ranked
-// by risk-adjusted objective, so a repair prefers targets that keep the
-// expected — not just the fault-free — makespan low.
+// surviving target. It is one more search policy over a PlanRun: the
+// candidates are one repair per surviving node, scored, sampled and
+// charged exactly as the offline schedulers score theirs (same probe
+// scenario, same memo/EvalCache tiers, so repeated re-plans and campaign
+// reruns pay nothing twice). Under PlanOptions::risk_aware the candidates
+// are ranked by risk-adjusted objective, so a repair prefers targets that
+// keep the expected — not just the fault-free — makespan low, and one
+// that lands on a node scheduled to die is charged its recovery.
 //
 // Determinism: candidates are generated in ascending target-node order and
 // reduced with pick_winner's canonical total order, and the BatchEvaluator
@@ -24,7 +26,6 @@
 #include <vector>
 
 #include "runtime/simulated_executor.hpp"
-#include "sched/batch_evaluator.hpp"
 #include "sched/candidates.hpp"
 #include "sched/risk.hpp"
 #include "sched/scheduler.hpp"
@@ -35,9 +36,10 @@ namespace wfe::sched {
 class RePlanner {
  public:
   /// `options` carries the probe scenario (faults/recovery), risk_aware,
-  /// probe_steps and the planner thread count — usually the same
-  /// PlanOptions the offline scheduler planned with.
-  RePlanner(EnsembleShape shape, plat::PlatformSpec platform,
+  /// probe_steps, the planner thread count and the shared cache — usually
+  /// the same PlanOptions the offline scheduler planned with. Repairs may
+  /// land on any node of `platform`, the spare-node headroom included.
+  RePlanner(EnsembleShape shape, const plat::PlatformSpec& platform,
             PlanOptions options);
 
   /// Install the assignment the campaign launched with (slot order of
@@ -64,18 +66,13 @@ class RePlanner {
   /// trace, so fault-run traces stay rerun-identical.
   double last_latency_s() const;
 
-  /// Share scores with the offline planner / other re-planners (see
-  /// BatchEvaluator::attach_shared_cache).
-  void attach_shared_cache(EvalCache* shared);
-
  private:
   int replan_locked(const rt::MigrationRequest& request);
 
   mutable support::RankedMutex<support::kRankRePlanner> mutex_;
   EnsembleShape shape_;
   PlanOptions options_;
-  BatchEvaluator evaluator_;
-  RiskModel risk_;
+  PlanRun run_;
   std::vector<std::size_t> slot_offset_;  ///< first slot of each member
   Assignment current_;
   std::size_t replans_ = 0;

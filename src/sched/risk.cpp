@@ -95,6 +95,7 @@ std::vector<ScoredCandidate> risk_scored(const std::vector<BatchScore>& batch,
 }
 
 int doomed_used_of(const RiskModel& risk, const Assignment& assignment) {
+  if (risk.doomed.empty()) return 0;
   std::vector<int> used(assignment);
   std::sort(used.begin(), used.end());
   used.erase(std::unique(used.begin(), used.end()), used.end());
@@ -105,29 +106,6 @@ int doomed_used_of(const RiskModel& risk, const Assignment& assignment) {
     }
   }
   return count;
-}
-
-Assignment avoid_doomed(const Assignment& assignment, int pool,
-                        const RiskModel& risk) {
-  if (risk.doomed.empty()) return assignment;
-  std::vector<int> order;
-  order.reserve(static_cast<std::size_t>(pool));
-  for (int node = 0; node < pool; ++node) {
-    if (!std::binary_search(risk.doomed.begin(), risk.doomed.end(), node)) {
-      order.push_back(node);
-    }
-  }
-  for (const int node : risk.doomed) {
-    if (node >= 0 && node < pool) order.push_back(node);
-  }
-  Assignment mapped;
-  mapped.reserve(assignment.size());
-  for (const int node : assignment) {
-    WFE_REQUIRE(node >= 0 && node < static_cast<int>(order.size()),
-                "canonical node id outside the pool");
-    mapped.push_back(order[static_cast<std::size_t>(node)]);
-  }
-  return mapped;
 }
 
 int effective_pool(const ResourceBudget& budget, const PlanOptions& options) {
@@ -148,10 +126,7 @@ namespace {
 int checked_pool(const EnsembleShape& shape,
                  const plat::PlatformSpec& platform,
                  const ResourceBudget& budget, const PlanOptions& options) {
-  WFE_REQUIRE(!shape.members.empty(), "shape has no members");
-  WFE_REQUIRE(budget.node_pool >= 1 &&
-                  budget.node_pool <= platform.node_count,
-              "node pool must fit the platform");
+  check_budget(shape, platform, budget);
   WFE_REQUIRE(options.probe_samples >= 1, "probe-samples must be at least 1");
   return effective_pool(budget, options);
 }
@@ -160,34 +135,32 @@ int checked_pool(const EnsembleShape& shape,
 
 PlanRun::PlanRun(const EnsembleShape& shape,
                  const plat::PlatformSpec& platform,
-                 const ResourceBudget& budget, const PlanOptions& options)
+                 const ResourceBudget& budget, const PlanOptions& options,
+                 Space space)
     : shape_(shape),
       options_(options),
-      pool_(checked_pool(shape, platform, budget, options)),
       risk_(RiskModel::of(options, shape.n_steps)),
+      classes_(node_classes(platform, options.faults,
+                            checked_pool(shape, platform, budget, options),
+                            risk_.doomed)),
+      candidates_(space == Space::kExhaustive
+                      ? enumerate_assignments(slot_count(shape), classes_)
+                      : std::vector<Assignment>{}),
       evaluator_(platform, probe_scenario(options), options.threads) {
   evaluator_.attach_shared_cache(options.shared_cache);
-}
-
-const std::vector<Assignment>& PlanRun::placed(
-    const std::vector<Assignment>& candidates, std::vector<int>& charges) {
-  if (risk_.doomed.empty()) return candidates;
-  placed_.clear();
-  placed_.reserve(candidates.size());
-  charges.reserve(candidates.size());
-  for (const Assignment& c : candidates) {
-    placed_.push_back(avoid_doomed(c, pool_, risk_));
-    charges.push_back(doomed_used_of(risk_, placed_.back()));
-  }
-  return placed_;
 }
 
 std::vector<ScoredCandidate> PlanRun::score(
     const std::vector<Assignment>& candidates) {
   std::vector<int> charges;
+  if (!risk_.doomed.empty()) {
+    charges.reserve(candidates.size());
+    for (const Assignment& c : candidates) {
+      charges.push_back(doomed_used_of(risk_, c));
+    }
+  }
   return risk_scored(
-      evaluator_.score_assignments(shape_, placed(candidates, charges),
-                                   options_.probe_steps,
+      evaluator_.score_assignments(shape_, candidates, options_.probe_steps,
                                    options_.probe_samples),
       risk_, options_.probe_steps, charges);
 }
@@ -195,17 +168,15 @@ std::vector<ScoredCandidate> PlanRun::score(
 std::vector<std::optional<double>> PlanRun::sample(
     const std::vector<Assignment>& arms,
     const std::vector<BatchEvaluator::ArmSample>& requests) {
-  std::vector<int> charges;
   const std::vector<BatchScore> draws = evaluator_.score_arm_samples(
-      shape_, placed(arms, charges), requests, options_.probe_steps);
+      shape_, arms, requests, options_.probe_steps);
   std::vector<std::optional<double>> rewards(draws.size());
   for (std::size_t i = 0; i < draws.size(); ++i) {
     const BatchScore& d = draws[i];
     if (!d.feasible) continue;
     rewards[i] = risk_.adjust_objective(
         d.eval.objective, d.eval.ensemble_makespan, options_.probe_steps,
-        d.eval.nodes_used,
-        charges.empty() ? 0 : charges[requests[i].arm]);
+        d.eval.nodes_used, doomed_used_of(risk_, arms[requests[i].arm]));
   }
   return rewards;
 }
@@ -213,7 +184,7 @@ std::vector<std::optional<double>> PlanRun::sample(
 Schedule PlanRun::schedule(std::string name, const Assignment& winner,
                            std::optional<std::size_t> samples) const {
   Schedule schedule;
-  schedule.spec = place(shape_, avoid_doomed(winner, pool_, risk_));
+  schedule.spec = place(shape_, winner);
   schedule.spec.n_steps = shape_.n_steps;  // probes used fewer steps
   schedule.scheduler = std::move(name);
   schedule.evaluations = evaluator_.evaluations();

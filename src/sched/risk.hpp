@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "sched/batch_evaluator.hpp"
+#include "sched/candidates.hpp"
 #include "sched/scheduler.hpp"
 
 namespace wfe::sched {
@@ -28,9 +29,9 @@ struct RiskModel {
   double restart_cost_s = 2.0;
   std::uint64_t checkpoint_period = 5;
   std::uint64_t campaign_steps = 37;  ///< the length the plan will run for
-  /// Nodes with scripted permanent downtime (FaultSpec::node_down):
-  /// occupying one guarantees a migration, so risk-aware placement maps
-  /// off them (avoid_doomed) and the model charges placements that can't.
+  /// Nodes with scripted permanent downtime (FaultSpec::node_down), sorted:
+  /// occupying one guarantees a migration, so the model charges every
+  /// placement one recovery per doomed node it occupies.
   std::vector<int> doomed;
 
   /// The model PlanOptions describes: active only under --risk-aware with
@@ -79,34 +80,38 @@ std::vector<ScoredCandidate> risk_scored(const std::vector<BatchScore>& batch,
 /// Scripted-downtime nodes `assignment` occupies (distinct count).
 int doomed_used_of(const RiskModel& risk, const Assignment& assignment);
 
-/// Relabel a canonical assignment away from the scripted-downtime nodes:
-/// canonical node i becomes the i-th node of [healthy pool nodes
-/// ascending, then doomed nodes ascending]. Identity when nothing is
-/// doomed. Straggler probes are not node-symmetric, so a candidate must
-/// be scored on the nodes this maps it to, as PlanRun does.
-Assignment avoid_doomed(const Assignment& assignment, int pool,
-                        const RiskModel& risk);
-
 /// The node pool left after holding back the spare-node headroom.
 /// Throws wfe::SpecError when no node remains.
 int effective_pool(const ResourceBudget& budget, const PlanOptions& options);
 
 /// One planning run of a replay-guided scheduler: the plan policy every
 /// such scheduler shares, so each keeps only its candidates and its
-/// stopping rule. It checks the shape, the pool and probe_samples before
-/// any worker thread starts, holds the spare-node pool, the RiskModel and
-/// a BatchEvaluator on probe_scenario() with the shared cache attached.
+/// stopping rule. It checks the shape, the budget and probe_samples, and
+/// derives the plan's node classes (node_classes() over the spare-node
+/// pool, split by the RiskModel's doomed nodes) before any worker thread
+/// starts. It holds the RiskModel and a BatchEvaluator on probe_scenario()
+/// with the shared cache attached.
 ///
-/// Candidates are canonical assignments over nodes 0..pool()-1. Each is
-/// mapped once by avoid_doomed(), the mapping schedule() applies to the
-/// winner, and scored, sampled and charged on the nodes it is placed on.
+/// Candidates are scored, sampled and charged where they stand: the nodes
+/// a candidate names are the nodes schedule() places it on.
 class PlanRun {
  public:
+  /// What the run generates before its workers start: nothing (a local
+  /// search brings its own candidates), or one candidate per orbit.
+  enum class Space { kLocal, kExhaustive };
+
   PlanRun(const EnsembleShape& shape, const plat::PlatformSpec& platform,
-          const ResourceBudget& budget, const PlanOptions& options);
+          const ResourceBudget& budget, const PlanOptions& options,
+          Space space = Space::kLocal);
 
   /// The placement pool: the budget less the spare-node headroom.
-  int pool() const { return pool_; }
+  int pool() const { return classes_.size(); }
+  /// Which pool nodes are interchangeable for this plan.
+  const NodeClasses& classes() const { return classes_; }
+  const RiskModel& risk() const { return risk_; }
+  /// Under Space::kExhaustive, enumerate_assignments() over classes(): one
+  /// candidate per orbit, in lexicographic order. Empty otherwise.
+  const std::vector<Assignment>& candidates() const { return candidates_; }
 
   /// Fixed-budget, risk-adjusted scores, in candidate order
   /// (probe_samples seeded draws averaged on a stochastic scenario).
@@ -118,25 +123,22 @@ class PlanRun {
       const std::vector<Assignment>& arms,
       const std::vector<BatchEvaluator::ArmSample>& requests);
 
-  /// The placed Schedule for canonical `winner`, with this run's cost
-  /// counters. `samples` defaults to the fixed-budget count: every score
-  /// served, fresh or cached.
+  /// Probe replays run so far (cache misses only).
+  std::size_t evaluations() const { return evaluator_.evaluations(); }
+
+  /// The placed Schedule for `winner`, with this run's cost counters.
+  /// `samples` defaults to the fixed-budget count: every score served,
+  /// fresh or cached.
   Schedule schedule(std::string name, const Assignment& winner,
                     std::optional<std::size_t> samples = {}) const;
 
  private:
-  /// `candidates` mapped off the doomed nodes, with the doomed nodes each
-  /// still occupies appended to `charges`. With nothing doomed the mapping
-  /// is the identity: `candidates` itself comes back, `charges` stays empty.
-  const std::vector<Assignment>& placed(
-      const std::vector<Assignment>& candidates, std::vector<int>& charges);
-
   const EnsembleShape& shape_;
   const PlanOptions& options_;
-  int pool_;
   RiskModel risk_;
+  NodeClasses classes_;
+  std::vector<Assignment> candidates_;
   BatchEvaluator evaluator_;
-  std::vector<Assignment> placed_;  ///< placed()'s buffer, reused per call
 };
 
 }  // namespace wfe::sched

@@ -48,6 +48,15 @@ EnsembleShape EnsembleShape::of(const rt::EnsembleSpec& spec) {
   return shape;
 }
 
+void check_budget(const EnsembleShape& shape,
+                  const plat::PlatformSpec& platform,
+                  const ResourceBudget& budget) {
+  WFE_REQUIRE(!shape.members.empty(), "shape has no members");
+  WFE_REQUIRE(budget.node_pool >= 1 &&
+                  budget.node_pool <= platform.node_count,
+              "node pool must fit the platform");
+}
+
 rt::EnsembleSpec place(const EnsembleShape& shape,
                        const std::vector<int>& assignment) {
   std::size_t slots = 0;

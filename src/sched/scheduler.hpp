@@ -96,9 +96,9 @@ struct PlanOptions {
   /// stragglers, network-degradation windows, and the replication write
   /// cost. Stochastic crash/transient injection is stripped via
   /// FaultSpec::probe_view() — the risk model accounts for it analytically.
-  /// Straggler windows open per node, so straggler probes are not
-  /// node-symmetric: a planner scores one labelling per canonical class,
-  /// the one avoid_doomed() places it on.
+  /// Straggler windows open per node, so under straggler probes no two
+  /// nodes are interchangeable (node_classes(), candidates.hpp) and the
+  /// exhaustive searches score every labelling: pool^slots candidates.
   res::FaultSpec faults;
   res::RecoveryPolicy recovery;
 
@@ -144,6 +144,13 @@ class Scheduler {
                         const ResourceBudget& budget,
                         const PlanOptions& options = {}) const = 0;
 };
+
+/// The checks every scheduler makes before planning: a demand with at
+/// least one member and a pool of 1..platform.node_count nodes. Throws
+/// wfe::InvalidArgument.
+void check_budget(const EnsembleShape& shape,
+                  const plat::PlatformSpec& platform,
+                  const ResourceBudget& budget);
 
 /// Build the placed spec from per-component node choices, in the fixed
 /// order [m0.sim, m0.ana0, m0.ana1, ..., m1.sim, ...]. Shared by every

@@ -149,9 +149,12 @@ TEST(BaiSearch, SavesFreshReplaysVsFixedBudgetAtEqualQuality) {
 }
 
 TEST(BaiSearch, CapsComponentCount) {
-  EXPECT_THROW((void)BaiSearch().plan(EnsembleShape::paper_like(7, 1),
-                                      platform(), {3}),
-               InvalidArgument);
+  // Over the generator's cap on both probe kinds: 14 components on 8 nodes.
+  for (const PlanOptions& options : {PlanOptions{}, stochastic_options()}) {
+    EXPECT_THROW((void)BaiSearch().plan(EnsembleShape::paper_like(7, 1),
+                                        platform(), {8}, options),
+                 SpecError);
+  }
 }
 
 TEST(BaiSearch, ThrowsWhenNothingFitsStochastic) {

@@ -38,14 +38,15 @@ std::string placement_signature(const rt::EnsembleSpec& spec) {
 // ---------------------------------------------------------------- candidates
 
 TEST(Candidates, CanonicalRelabelsByFirstAppearance) {
-  EXPECT_EQ(canonical({2, 2, 0, 1}, 3), (Assignment{0, 0, 1, 2}));
-  EXPECT_EQ(canonical({0, 1, 0, 2}, 3), (Assignment{0, 1, 0, 2}));
-  EXPECT_EQ(canonical({5, 5, 5}, 6), (Assignment{0, 0, 0}));
+  const NodeClasses three = NodeClasses::one(3);
+  EXPECT_EQ(canonical({2, 2, 0, 1}, three), (Assignment{0, 0, 1, 2}));
+  EXPECT_EQ(canonical({0, 1, 0, 2}, three), (Assignment{0, 1, 0, 2}));
+  EXPECT_EQ(canonical({5, 5, 5}, NodeClasses::one(6)), (Assignment{0, 0, 0}));
 }
 
 TEST(Candidates, CanonicalIsIdempotent) {
-  const Assignment a = canonical({3, 1, 3, 0, 1}, 4);
-  EXPECT_EQ(canonical(a, 4), a);
+  const Assignment a = canonical({3, 1, 3, 0, 1}, NodeClasses::one(4));
+  EXPECT_EQ(canonical(a, NodeClasses::one(4)), a);
 }
 
 TEST(Candidates, EnumerationIsCanonicalDedupedAndLexOrdered) {
@@ -53,7 +54,7 @@ TEST(Candidates, EnumerationIsCanonicalDedupedAndLexOrdered) {
   const auto all = enumerate_assignments(3, 3);
   ASSERT_EQ(all.size(), 5u);
   for (std::size_t i = 0; i < all.size(); ++i) {
-    EXPECT_EQ(canonical(all[i], 3), all[i]);
+    EXPECT_EQ(canonical(all[i], NodeClasses::one(3)), all[i]);
     if (i > 0) EXPECT_LT(all[i - 1], all[i]);  // strictly lex-increasing
   }
   EXPECT_EQ(all.front(), (Assignment{0, 0, 0}));
@@ -61,14 +62,14 @@ TEST(Candidates, EnumerationIsCanonicalDedupedAndLexOrdered) {
 }
 
 TEST(Candidates, NeighborsAreSingleSlotMoves) {
-  const auto neighbors = neighbor_assignments({0, 1}, 3);
+  const auto neighbors = neighbor_assignments({0, 1}, NodeClasses::one(3));
   // Each of the 2 slots can move to 2 other pool nodes; canonicalized and
   // with the identity dropped, the distinct outcomes are {0,0} and {0,1}
   // variants. Every neighbor differs from the start in exactly one slot
   // (up to relabeling) and none equals the start.
   ASSERT_FALSE(neighbors.empty());
   for (const auto& n : neighbors) {
-    EXPECT_EQ(n, canonical(n, 3));
+    EXPECT_EQ(n, canonical(n, NodeClasses::one(3)));
     EXPECT_NE(n, (Assignment{0, 1}));
   }
 }

@@ -17,6 +17,7 @@
 #include "sched/candidates.hpp"
 #include "sched/eval_cache.hpp"
 #include "sched/risk.hpp"
+#include "support/error.hpp"
 #include "workload/presets.hpp"
 
 namespace wfe::sched {
@@ -30,7 +31,7 @@ std::vector<Assignment> odometer_reference(std::size_t slots, int pool) {
   std::set<Assignment> seen;
   Assignment a(slots, 0);
   for (;;) {
-    Assignment canon = canonical(a, pool);
+    Assignment canon = canonical(a, NodeClasses::one(pool));
     if (seen.insert(canon).second) out.push_back(std::move(canon));
     std::size_t pos = slots;
     while (pos > 0) {
@@ -86,6 +87,109 @@ TEST(Enumeration, CountsAreStirlingSums) {
           << "slots=" << slots << " pool=" << pool;
     }
   }
+}
+
+/// Each node of 0..nodes-1 in a class of its own.
+NodeClasses singletons(int nodes) {
+  std::vector<int> tag;
+  for (int n = 0; n < nodes; ++n) tag.push_back(n);
+  return NodeClasses(tag);
+}
+
+/// Brute-force orbits: walk all pool^slots assignments in lexicographic
+/// order and keep the first of each orbit. Two assignments share an orbit
+/// when they split the slots into the same blocks and give each block a
+/// node of the same class; the first one walked is the lexicographically
+/// smallest. No relabelling is involved.
+std::vector<Assignment> orbit_reference(std::size_t slots,
+                                        const NodeClasses& classes) {
+  const int pool = classes.size();
+  std::vector<Assignment> out;
+  std::set<std::vector<int>> seen;
+  Assignment a(slots, 0);
+  for (;;) {
+    std::vector<int> signature;  // per slot: first slot on its node, class
+    for (std::size_t i = 0; i < slots; ++i) {
+      std::size_t first = 0;
+      while (a[first] != a[i]) ++first;
+      signature.push_back(static_cast<int>(first));
+      signature.push_back(classes.class_of(a[i]));
+    }
+    if (seen.insert(signature).second) out.push_back(a);
+    std::size_t pos = slots;
+    while (pos > 0) {
+      if (++a[pos - 1] < pool) break;
+      a[pos - 1] = 0;
+      --pos;
+    }
+    if (pos == 0) break;
+  }
+  return out;
+}
+
+/// The partitions the generator is checked on: one class, singletons, and
+/// healthy/doomed splits of one class (doomed first, last, every other).
+std::vector<NodeClasses> partitions(int pool) {
+  std::vector<NodeClasses> out = {NodeClasses::one(pool),
+                                  singletons(pool)};
+  for (const auto doomed : {+[](int n, int) { return n == 0; },
+                            +[](int n, int p) { return n == p - 1; },
+                            +[](int n, int) { return n % 2 == 1; }}) {
+    std::vector<int> tag;
+    for (int n = 0; n < pool; ++n) tag.push_back(doomed(n, pool) ? 1 : 0);
+    out.emplace_back(tag);
+  }
+  return out;
+}
+
+TEST(Enumeration, GeneratorEqualsBruteForceOrbits) {
+  int cases = 0;
+  for (std::size_t slots = 1; slots <= 17; ++slots) {
+    for (int pool = 1; pool <= 12; ++pool) {
+      if (std::pow(pool, static_cast<double>(slots)) > 2e5) continue;
+      for (const NodeClasses& classes : partitions(pool)) {
+        const std::vector<Assignment> all =
+            enumerate_assignments(slots, classes);
+        ASSERT_EQ(all, orbit_reference(slots, classes))
+            << "slots=" << slots << " pool=" << pool
+            << " classes=" << classes.class_count();
+        EXPECT_EQ(candidate_count(slots, classes),
+                  static_cast<double>(all.size()));
+        for (const Assignment& a : all) ASSERT_EQ(canonical(a, classes), a);
+        ++cases;
+      }
+    }
+  }
+  EXPECT_GT(cases, 250);
+}
+
+TEST(Enumeration, NodeClassesFollowTheProbeAndTheDoomedNodes) {
+  const plat::PlatformSpec platform = wl::cori_like_platform();
+  const res::FaultSpec clean;
+  EXPECT_EQ(node_classes(platform, clean), NodeClasses::one(8));
+  EXPECT_EQ(node_classes(platform, clean, 5), NodeClasses::one(5));
+  // Doomed nodes form one class of their own within the pool.
+  EXPECT_EQ(node_classes(platform, clean, 5, {1, 3, 6}),
+            NodeClasses({0, 1, 0, 1, 0}));
+  // Straggler windows and several interconnect groups tell nodes apart.
+  EXPECT_EQ(node_classes(platform, wl::degraded_nodes(200.0), 5, {1}),
+            singletons(5));
+  plat::PlatformSpec grouped = platform;
+  grouped.interconnect.group_size = 4;
+  EXPECT_EQ(node_classes(grouped, clean), singletons(8));
+}
+
+TEST(Enumeration, RefusesSearchesOverTheCap) {
+  // 12 components on 8 interchangeable nodes, the largest search the old
+  // 12-component limit allowed, stays under the cap; 13 do not.
+  EXPECT_EQ(candidate_count(12, NodeClasses::one(8)), 4189550.0);
+  EXPECT_LE(4189550u, kMaxCandidates);
+  EXPECT_THROW((void)enumerate_assignments(13, NodeClasses::one(8)),
+               SpecError);
+  // Under straggler probes every labelling counts: 4^12 > the cap.
+  EXPECT_EQ(candidate_count(12, singletons(4)), 16777216.0);
+  EXPECT_THROW((void)enumerate_assignments(12, singletons(4)),
+               SpecError);
 }
 
 // ------------------------------------------------------------------- keys
@@ -150,7 +254,7 @@ TEST_F(KeyLayout, KeysCarryTheModelDigest) {
   // is never served.
   const std::uint64_t demand = demand_digest(shape_);
   const std::uint64_t scenario = scenario_fingerprint(rt::SimulatedOptions{});
-  PlacementKeys keys(platform_.node_count);
+  PlacementKeys keys(NodeClasses::one(platform_.node_count));
   const auto key_under = [&](std::uint64_t model) {
     return keys.of(key_prefix(platform_.fingerprint(), scenario, 6, demand,
                               model),
@@ -192,7 +296,7 @@ TEST(DemandDigest, ShapeAndPlacedSpecAgree) {
 }
 
 TEST(PlacementKeysTest, OutOfPoolNodesShareOneInfeasibleLabel) {
-  PlacementKeys keys(/*node_count=*/4);
+  PlacementKeys keys(NodeClasses::one(4));
   EXPECT_EQ(keys.of(7, Assignment{0, 9}), keys.of(7, Assignment{0, -3}));
   EXPECT_NE(keys.of(7, Assignment{0, 9}), keys.of(7, Assignment{0, 1}));
   EXPECT_NE(keys.of(7, Assignment{0, 1}), keys.of(8, Assignment{0, 1}));

@@ -1,11 +1,16 @@
 // Behaviour of the individual scheduling algorithms.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "sched/baselines.hpp"
+#include "sched/candidates.hpp"
 #include "sched/evaluator.hpp"
 #include "sched/exhaustive.hpp"
 #include "sched/greedy.hpp"
+#include "sched/risk.hpp"
 #include "support/error.hpp"
+#include "support/str.hpp"
 #include "workload/presets.hpp"
 
 namespace wfe::sched {
@@ -86,11 +91,38 @@ TEST(Exhaustive, NeverWorseThanAnyBaseline) {
   }
 }
 
+TEST(Exhaustive, SearchesEveryLabellingUnderStragglerProbes) {
+  // Straggler windows open per node, so a placement and its relabelling
+  // replay differently. On this cell the best of the 187 relabelling
+  // classes (1.089708e-2) is beaten by a labelling outside them: the
+  // search must score all 4^6 = 4,096 labellings, 2,400 of them feasible.
+  PlanOptions options;
+  options.faults.straggler_mtbf_s = 200.0;
+  options.faults.straggler_duration_s = 300.0;
+  options.faults.straggler_factor = 1.5;
+  options.threads = 4;
+  const Schedule schedule = Exhaustive().plan(EnsembleShape::paper_like(3, 1),
+                                              platform(), {4}, options);
+  EXPECT_EQ(schedule.evaluations, 2400u);
+  const Evaluator prober(platform(), probe_scenario(options));
+  EXPECT_NEAR(prober.score(schedule.spec, options.probe_steps).objective,
+              1.099416e-2, 5e-9);
+}
+
 TEST(Exhaustive, CapsComponentCount) {
-  EXPECT_THROW(
-      (void)Exhaustive().plan(EnsembleShape::paper_like(7, 1), platform(),
-                              {3}),
-      InvalidArgument);
+  // 14 components on 8 interchangeable nodes: more orbits than the cap.
+  // The plan is refused before any replay, with the count in the message.
+  const double count = candidate_count(14, NodeClasses::one(8));
+  ASSERT_GT(count, static_cast<double>(kMaxCandidates));
+  try {
+    (void)Exhaustive().plan(EnsembleShape::paper_like(7, 1), platform(),
+                            {8});
+    FAIL() << "expected SpecError";
+  } catch (const SpecError& e) {
+    EXPECT_NE(std::string(e.what()).find(strprintf("%.0f", count)),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(RoundRobin, SpreadsComponents) {

@@ -3,6 +3,7 @@
 // the scenario isolation of the shared evaluation cache.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 #include <vector>
@@ -154,27 +155,21 @@ TEST(RiskModel, ExpectedMakespanGrowsWithExposure) {
             risk.adjust_objective(0.5, 60.0, 6, 1, 0));
 }
 
-TEST(RiskModel, AvoidDoomedRemapsOffScheduledNodes) {
+TEST(RiskModel, DoomedUsedCountsDistinctScheduledNodes) {
   PlanOptions options;
   options.risk_aware = true;
   options.faults = wl::node_down_at(0, 100.0);
   const RiskModel risk = RiskModel::of(options, 20);
 
-  // Pool {0,1,2}, node 0 doomed: canonical 0 -> 1, 1 -> 2, 2 -> 0 (doomed
-  // nodes go to the back of the mapping).
-  EXPECT_EQ(avoid_doomed({0, 0, 1}, 3, risk), (Assignment{1, 1, 2}));
-  EXPECT_EQ(avoid_doomed({0, 1, 2}, 3, risk), (Assignment{1, 2, 0}));
-  // The planners' charge: the doomed nodes a canonical candidate occupies
-  // once placed — none while the healthy nodes suffice, the overflow after.
-  EXPECT_EQ(doomed_used_of(risk, avoid_doomed({0, 0, 0}, 3, risk)), 0);
-  EXPECT_EQ(doomed_used_of(risk, avoid_doomed({0, 1, 1}, 3, risk)), 0);
-  EXPECT_EQ(doomed_used_of(risk, avoid_doomed({0, 1, 2}, 3, risk)), 1);
+  // The planners' charge: the doomed nodes a candidate occupies where it
+  // stands, each counted once.
+  EXPECT_EQ(doomed_used_of(risk, {1, 1, 2}), 0);
+  EXPECT_EQ(doomed_used_of(risk, {1, 2, 0}), 1);
   EXPECT_EQ(doomed_used_of(risk, {0, 0, 1}), 1);
   EXPECT_EQ(doomed_used_of(risk, {1, 2, 1}), 0);
 
-  // Inactive model: identity.
-  const RiskModel off = RiskModel::of({}, 20);
-  EXPECT_EQ(avoid_doomed({0, 0, 1}, 3, off), (Assignment{0, 0, 1}));
+  // Inactive model: nothing is doomed.
+  EXPECT_EQ(doomed_used_of(RiskModel::of({}, 20), {0, 0, 1}), 0);
 }
 
 bool uses_node(const Schedule& schedule, int node) {
@@ -229,11 +224,11 @@ TEST(RiskModel, PlannersPlaceOffScheduledDowntimeNodes) {
 }
 
 TEST(RiskModel, PlanRunPricesTheNodesItPlacesOn) {
-  // Straggler windows open per node, so a canonical candidate and the
-  // labelling avoid_doomed() places it on score differently: with nodes
-  // 0-3 scheduled to die, {0,0,1,1} lands on {4,4,5,5}, and node 5 is
-  // slow during the probe. A planning run must price the placed labelling,
-  // the nodes schedule() lands on.
+  // Straggler windows open per node, so no two nodes are interchangeable:
+  // with nodes 0-3 scheduled to die, the labelling {4,4,5,5} on the two
+  // healthy nodes is a candidate of its own, enumerated next to {0,0,1,1},
+  // and node 5 is slow during the probe. A planning run prices each
+  // candidate on the nodes it names, the nodes schedule() lands on.
   const EnsembleShape shape = EnsembleShape::paper_like(2, 1);
   PlanOptions options;
   for (int node = 0; node < 4; ++node) {
@@ -244,10 +239,16 @@ TEST(RiskModel, PlanRunPricesTheNodesItPlacesOn) {
   options.faults.straggler_factor = 3.0;
   options.risk_aware = true;
   const int pool = 6;
-  const Assignment canonical = {0, 0, 1, 1};
+  const Assignment doomed = {0, 0, 1, 1};
+  const Assignment healthy = {4, 4, 5, 5};
   const RiskModel risk = RiskModel::of(options, shape.n_steps);
-  const Assignment placed = avoid_doomed(canonical, pool, risk);
-  ASSERT_EQ(placed, (Assignment{4, 4, 5, 5}));
+
+  PlanRun run(shape, wl::cori_like_platform(), {pool}, options,
+              PlanRun::Space::kExhaustive);
+  EXPECT_EQ(run.classes(), NodeClasses({0, 1, 2, 3, 4, 5}));  // singletons
+  const std::vector<Assignment>& all = run.candidates();
+  EXPECT_EQ(all.size(), 1296u);  // 6^4: every labelling is its own orbit
+  EXPECT_NE(std::find(all.begin(), all.end(), healthy), all.end());
 
   const auto direct = [&](const Assignment& a) {
     BatchEvaluator evaluator(wl::cori_like_platform(),
@@ -257,16 +258,18 @@ TEST(RiskModel, PlanRunPricesTheNodesItPlacesOn) {
                                     options.probe_samples),
         risk, options.probe_steps, {doomed_used_of(risk, a)})[0];
   };
-  const ScoredCandidate on_placed = direct(placed);
-  ASSERT_TRUE(on_placed.feasible);
+  const ScoredCandidate on_healthy = direct(healthy);
+  const ScoredCandidate on_doomed = direct(doomed);
+  ASSERT_TRUE(on_healthy.feasible);
+  ASSERT_TRUE(on_doomed.feasible);
   // The labellings really differ, or this test could not tell them apart.
-  ASSERT_LT(on_placed.objective, 0.9 * direct(canonical).objective);
+  ASSERT_LT(on_healthy.objective, 0.9 * on_doomed.objective);
 
-  PlanRun run(shape, wl::cori_like_platform(), {pool}, options);
-  const std::vector<ScoredCandidate> scored = run.score({canonical});
-  ASSERT_EQ(scored.size(), 1u);
-  EXPECT_EQ(scored[0].objective, on_placed.objective);
-  EXPECT_EQ(run.schedule("s", canonical).spec.members[1].sim.nodes,
+  const std::vector<ScoredCandidate> scored = run.score({healthy, doomed});
+  ASSERT_EQ(scored.size(), 2u);
+  EXPECT_EQ(scored[0].objective, on_healthy.objective);
+  EXPECT_EQ(scored[1].objective, on_doomed.objective);
+  EXPECT_EQ(run.schedule("s", healthy).spec.members[1].sim.nodes,
             (std::set<int>{5}));
 }
 

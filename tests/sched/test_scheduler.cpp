@@ -84,6 +84,21 @@ TEST_P(AllSchedulers, RespectsNodeBudget) {
   }
 }
 
+TEST_P(AllSchedulers, RejectsABudgetOutsideThePlatform) {
+  // One budget check for every scheduler: a pool of 1..node_count nodes.
+  // A random draw below(0) once returned node 0 for an empty pool.
+  const auto platform = wl::cori_like_platform(8);
+  const auto shape = EnsembleShape::paper_like(1, 1);
+  const auto scheduler = make_scheduler(GetParam());
+  for (const int pool : {0, -1, 9}) {
+    EXPECT_THROW((void)scheduler->plan(shape, platform, {pool}),
+                 InvalidArgument)
+        << "pool=" << pool;
+  }
+  EXPECT_THROW((void)scheduler->plan(EnsembleShape{}, platform, {2}),
+               InvalidArgument);
+}
+
 INSTANTIATE_TEST_SUITE_P(Everyone, AllSchedulers,
                          ::testing::Values("greedy-colocate", "greedy-refine",
                                            "exhaustive", "bai-search",

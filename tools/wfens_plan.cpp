@@ -16,7 +16,8 @@
 // caps bai-search's adaptive budget (0 = the fixed-budget spend).
 // --json replaces the human-readable report with one machine-readable
 // JSON object including the scheduler cost counters (planning replays,
-// memo hits, shared-cache hits, samples) — "replays saved" per plan.
+// memo hits, shared-cache hits, samples) — "replays saved" per plan. It
+// holds no wall-clock number, so identical commands print identical bytes.
 // --trace-out records scheduler activity (batch spans, per-worker
 // utilization, memo hits) as a structured run trace: .jsonl = compact span
 // log, anything else = Chrome trace_event JSON.
@@ -148,10 +149,14 @@ int main(int argc, char** argv) {
         out << "]}";
       }
       out << "],\n";
+      // Only the deterministic search counters: the wall-clock ones
+      // (seconds, named *_s, e.g. sched.w0.busy_s) differ from run to run
+      // and stay in --trace-out, so reruns print identical bytes.
       out << "  \"counters\": {";
       first = true;
       for (const obs::CounterValue& c :
            obs_recorder->counters().snapshot()) {
+        if (c.name.ends_with("_s")) continue;
         if (!first) out << ", ";
         first = false;
         out << "\"" << json::escape(c.name) << "\": " << c.value;
