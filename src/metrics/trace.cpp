@@ -1,7 +1,6 @@
 #include "metrics/trace.hpp"
 
 #include <algorithm>
-#include <set>
 
 #include "support/error.hpp"
 #include "support/str.hpp"
@@ -39,15 +38,15 @@ Trace::Trace(std::vector<StageRecord> records)
 }
 
 std::vector<ComponentId> Trace::components() const {
-  std::set<ComponentId> unique;
-  for (const StageRecord& r : records_) unique.insert(r.component);
-  return {unique.begin(), unique.end()};
+  std::vector<ComponentId> ids;
+  for (const StageRecord& r : records_) sorted_entry(ids, r.component);
+  return ids;
 }
 
 std::vector<std::uint32_t> Trace::members() const {
-  std::set<std::uint32_t> unique;
-  for (const StageRecord& r : records_) unique.insert(r.component.member);
-  return {unique.begin(), unique.end()};
+  std::vector<std::uint32_t> ids;
+  for (const StageRecord& r : records_) sorted_entry(ids, r.component.member);
+  return ids;
 }
 
 std::vector<StageRecord> Trace::for_component(const ComponentId& id) const {
@@ -83,9 +82,9 @@ double Trace::component_end(const ComponentId& id) const {
 }
 
 std::uint64_t Trace::step_count(const ComponentId& id) const {
-  std::set<std::uint64_t> steps;
+  std::vector<std::uint64_t> steps;
   for (const StageRecord& r : records_) {
-    if (r.component == id) steps.insert(r.step);
+    if (r.component == id) sorted_entry(steps, r.step);
   }
   return steps.size();
 }

@@ -7,8 +7,9 @@
 // from this one representation.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <map>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -47,6 +48,19 @@ struct StageRecord {
 };
 
 class Trace;
+
+/// The entry of `entries`, kept sorted by the projection `key_of`, whose
+/// key is `key`; `T{key}` is inserted in its place when there is none. A
+/// trace repeats a handful of ids over thousands of records, so its walks
+/// collect them in a flat sorted vector, not a node-based set or map.
+template <typename T, typename K, typename KeyOf = std::identity>
+T& sorted_entry(std::vector<T>& entries, const K& key, KeyOf key_of = {}) {
+  auto it = std::ranges::lower_bound(entries, key, {}, key_of);
+  if (it == entries.end() || std::invoke(key_of, *it) != key) {
+    it = entries.insert(it, T{key});
+  }
+  return *it;
+}
 
 /// Thread-safe appender used while an execution is in flight.
 class TraceRecorder {

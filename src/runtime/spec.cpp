@@ -1,5 +1,6 @@
 #include "runtime/spec.hpp"
 
+#include <algorithm>
 #include <vector>
 
 #include "support/error.hpp"
@@ -18,14 +19,55 @@ core::MemberPlacement MemberSpec::placement() const {
 }
 
 int EnsembleSpec::total_nodes() const {
-  std::set<int> nodes;
+  std::vector<int> nodes;
   for (const MemberSpec& m : members) {
-    nodes.insert(m.sim.nodes.begin(), m.sim.nodes.end());
+    nodes.insert(nodes.end(), m.sim.nodes.begin(), m.sim.nodes.end());
     for (const AnalysisSpec& a : m.analyses) {
-      nodes.insert(a.nodes.begin(), a.nodes.end());
+      nodes.insert(nodes.end(), a.nodes.begin(), a.nodes.end());
     }
   }
-  return static_cast<int>(nodes.size());
+  std::sort(nodes.begin(), nodes.end());
+  return static_cast<int>(std::unique(nodes.begin(), nodes.end()) -
+                          nodes.begin());
+}
+
+namespace {
+
+/// Per-node concurrent core demand: components are all active in steady
+/// state, so a node must fit the sum of its residents' core counts.
+/// Components spanning several nodes contribute cores / |nodes| per node
+/// (even spread), matching how MPI ranks would be distributed. Nodes
+/// outside the platform are left to `validate` to report. Flat per-node
+/// array, not a map: planners check thousands of candidates back to back.
+std::vector<double> node_demand(const EnsembleSpec& spec,
+                                const plat::PlatformSpec& platform) {
+  std::vector<double> demand(
+      static_cast<std::size_t>(std::max(platform.node_count, 0)), 0.0);
+  const auto place = [&](const std::set<int>& nodes, int cores) {
+    for (int n : nodes) {
+      if (n < 0 || n >= platform.node_count) continue;
+      demand[static_cast<std::size_t>(n)] +=
+          static_cast<double>(cores) / static_cast<double>(nodes.size());
+    }
+  };
+  for (const MemberSpec& m : spec.members) {
+    place(m.sim.nodes, m.sim.cores);
+    for (const AnalysisSpec& a : m.analyses) place(a.nodes, a.cores);
+  }
+  return demand;
+}
+
+}  // namespace
+
+int EnsembleSpec::oversubscribed_node(
+    const plat::PlatformSpec& platform) const {
+  const std::vector<double> demand = node_demand(*this, platform);
+  for (std::size_t node = 0; node < demand.size(); ++node) {
+    if (demand[node] > static_cast<double>(platform.node.cores) + 1e-9) {
+      return static_cast<int>(node);
+    }
+  }
+  return -1;
 }
 
 void EnsembleSpec::validate(const plat::PlatformSpec& platform) const {
@@ -37,15 +79,8 @@ void EnsembleSpec::validate(const plat::PlatformSpec& platform) const {
     throw SpecError("a workflow ensemble executes at least one in situ step");
   }
 
-  // Per-node concurrent core demand: components are all active in steady
-  // state, so a node must fit the sum of its residents' core counts.
-  // Components spanning several nodes contribute cores / |nodes| per node
-  // (even spread), matching how MPI ranks would be distributed. Flat
-  // per-node array, not a map — validation runs once per replay, and the
-  // campaign drivers replay thousands of specs back to back.
-  std::vector<double> demand(static_cast<std::size_t>(platform.node_count),
-                             0.0);
-  auto place = [&](const std::set<int>& nodes, int cores, const char* what) {
+  const auto check = [&](const std::set<int>& nodes, int cores,
+                         const char* what) {
     if (nodes.empty()) {
       throw SpecError(std::string(what) + " must run on at least one node");
     }
@@ -57,8 +92,6 @@ void EnsembleSpec::validate(const plat::PlatformSpec& platform) const {
         throw SpecError(strprintf("%s placed on node %d outside platform (%d nodes)",
                                   what, n, platform.node_count));
       }
-      demand[static_cast<std::size_t>(n)] +=
-          static_cast<double>(cores) / static_cast<double>(nodes.size());
     }
   };
 
@@ -77,19 +110,17 @@ void EnsembleSpec::validate(const plat::PlatformSpec& platform) const {
     if (m.sim.natoms == 0) {
       throw SpecError("the modelled system needs at least one atom");
     }
-    place(m.sim.nodes, m.sim.cores, "simulation");
+    check(m.sim.nodes, m.sim.cores, "simulation");
     for (const AnalysisSpec& a : m.analyses) {
-      place(a.nodes, a.cores, "analysis");
+      check(a.nodes, a.cores, "analysis");
     }
   }
 
-  for (int node = 0; node < platform.node_count; ++node) {
-    const double cores = demand[static_cast<std::size_t>(node)];
-    if (cores > static_cast<double>(platform.node.cores) + 1e-9) {
-      throw SpecError(strprintf(
-          "node %d oversubscribed: %.1f cores demanded, %d available", node,
-          cores, platform.node.cores));
-    }
+  if (const int node = oversubscribed_node(platform); node >= 0) {
+    throw SpecError(strprintf(
+        "node %d oversubscribed: %.1f cores demanded, %d available", node,
+        node_demand(*this, platform)[static_cast<std::size_t>(node)],
+        platform.node.cores));
   }
 }
 

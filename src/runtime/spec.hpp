@@ -76,6 +76,11 @@ struct EnsembleSpec {
   /// active, so per-node core demand is the sum over resident components).
   /// Throws wfe::SpecError.
   void validate(const plat::PlatformSpec& platform) const;
+
+  /// The lowest node whose summed core demand exceeds its cores, or -1 when
+  /// every node fits; the demand check of `validate`, without throwing.
+  /// Nodes outside the platform are skipped: `validate` rejects them.
+  int oversubscribed_node(const plat::PlatformSpec& platform) const;
 };
 
 }  // namespace wfe::rt

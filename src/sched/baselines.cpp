@@ -69,6 +69,7 @@ Schedule RandomPlacement::plan(const EnsembleShape& shape,
           rng.below(static_cast<std::uint64_t>(budget.node_pool)));
     }
     rt::EnsembleSpec spec = place(shape, assignment);
+    if (spec.oversubscribed_node(platform) >= 0) continue;
     try {
       spec.validate(platform);
     } catch (const SpecError&) {

@@ -13,17 +13,19 @@ namespace wfe::sched {
 namespace {
 
 /// Validate, then replay under `seed` (the scenario's own seed when null).
-/// Infeasible placements are marked, not run.
+/// Infeasible placements are marked, not run; an oversubscribed node, what
+/// most rejected candidates have, is found without building an exception.
 void replay_spec(const rt::EnsembleSpec& spec, const Evaluator& ev,
                  std::uint64_t probe_steps, const std::uint64_t* seed,
                  BatchScore& score) {
-  score.feasible = true;
+  score.feasible = false;
+  if (spec.oversubscribed_node(ev.platform()) >= 0) return;
   try {
     spec.validate(ev.platform());
   } catch (const SpecError&) {
-    score.feasible = false;
     return;
   }
+  score.feasible = true;
   score.eval = seed == nullptr ? ev.score(spec, probe_steps)
                                : ev.score_seeded(spec, probe_steps, *seed);
 }
@@ -60,6 +62,7 @@ std::vector<BatchScore> BatchEvaluator::score_keyed(
   const double b0 = traced ? obs::now_s() : 0.0;
   const std::size_t hits_before = cache_hits_;
   const std::size_t shared_before = shared_hits_;
+  const std::size_t replays_before = traced ? evaluations() : 0;
 
   // Sequential phase 1: serve local memo hits and fold within-batch
   // duplicates onto their first occurrence; collect the unique rest.
@@ -145,8 +148,10 @@ std::vector<BatchScore> BatchEvaluator::score_keyed(
     const double b1 = obs::now_s();
     obs::span("scheduler", "batch", b0, b1);
     obs::add_counter("sched.candidates", b1, static_cast<double>(n));
-    obs::add_counter("sched.evaluations", b1,
-                     static_cast<double>(miss.size()));
+    const std::size_t replays = evaluations() - replays_before;
+    obs::add_counter("sched.evaluations", b1, static_cast<double>(replays));
+    obs::add_counter("sched.infeasible", b1,
+                     static_cast<double>(miss.size() - replays));
     obs::add_counter("sched.memo_hits", b1,
                      static_cast<double>(cache_hits_ - hits_before));
     obs::add_counter("sched.shared_hits", b1,

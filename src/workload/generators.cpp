@@ -80,15 +80,8 @@ std::vector<NamedConfig> enumerate_placements(
       spec.name = assignment_name(canon, options.members,
                                   options.analyses_per_member);
 
-      bool feasible = true;
-      if (options.skip_oversubscribed) {
-        try {
-          spec.validate(platform);
-        } catch (const SpecError&) {
-          feasible = false;
-        }
-      }
-      if (feasible) {
+      if (!options.skip_oversubscribed ||
+          spec.oversubscribed_node(platform) < 0) {
         NamedConfig config;
         config.name = spec.name;
         config.nodes = spec.total_nodes();

@@ -264,23 +264,26 @@ TEST_P(SchedulerSweep, BatchEvaluationEmitsSchedulerTracks) {
   EXPECT_EQ(log.str(batch[0].name), "batch");
 
   // Candidate/evaluation counters mirror the evaluator's own accounting.
-  double candidates_counted = 0.0, evaluations_counted = 0.0;
+  double candidates_counted = 0.0, evaluations_counted = 0.0,
+         infeasible_counted = 0.0;
   bool saw_worker_busy = false;
   for (const obs::CounterValue& c : log.counters) {
     if (c.name == "sched.candidates") candidates_counted = c.value;
     if (c.name == "sched.evaluations") evaluations_counted = c.value;
+    if (c.name == "sched.infeasible") infeasible_counted = c.value;
     if (c.name.rfind("sched.w", 0) == 0) saw_worker_busy = true;
   }
-  // sched.evaluations counts items that entered the parallel phase
-  // (feasible or not); the evaluator's own count covers only feasible
-  // replays, so it is bounded by the counter.
+  // sched.evaluations counts replays, as the evaluator does; the other
+  // fresh items failed validation and count as sched.infeasible.
   std::size_t fresh = 0;
   for (const auto& s : scores) {
     if (!s.cached) ++fresh;
   }
   EXPECT_EQ(candidates_counted, static_cast<double>(candidates.size()));
-  EXPECT_EQ(evaluations_counted, static_cast<double>(fresh));
-  EXPECT_LE(evaluator.evaluations(), fresh);
+  EXPECT_EQ(evaluations_counted,
+            static_cast<double>(evaluator.evaluations()));
+  EXPECT_EQ(infeasible_counted,
+            static_cast<double>(fresh - evaluator.evaluations()));
   EXPECT_GT(evaluator.evaluations(), 0u);
   EXPECT_TRUE(saw_worker_busy);
 

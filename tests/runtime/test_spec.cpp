@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "support/error.hpp"
 #include "workload/presets.hpp"
 
@@ -83,8 +85,23 @@ TEST(EnsembleSpec, RejectsOversubscribedNode) {
   }
   spec.members.push_back(m);
   EXPECT_NO_THROW(spec.validate(platform()));
+  EXPECT_EQ(spec.oversubscribed_node(platform()), -1);
 
   spec.members[0].analyses.push_back(AnalysisSpec{{0}, 8, "rgyr", {}});
+  EXPECT_EQ(spec.oversubscribed_node(platform()), 0);
+  try {
+    spec.validate(platform());
+    ADD_FAILURE() << "validate accepted an oversubscribed node";
+  } catch (const SpecError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "node 0 oversubscribed: 40.0 cores demanded, 32 available"),
+              std::string::npos)
+        << e.what();
+  }
+
+  // Off-platform nodes are not counted (validate rejects them itself).
+  spec.members[0].sim.nodes = {0, 9};
+  EXPECT_EQ(spec.oversubscribed_node(platform()), -1);
   EXPECT_THROW(spec.validate(platform()), SpecError);
 }
 
@@ -98,6 +115,7 @@ TEST(EnsembleSpec, MultiNodeComponentSpreadsDemand) {
   m.analyses.push_back(AnalysisSpec{{0}, 16, "rgyr", {}});
   spec.members.push_back(m);
   EXPECT_NO_THROW(spec.validate(platform()));
+  EXPECT_EQ(spec.oversubscribed_node(platform()), -1);
 }
 
 TEST(EnsembleSpec, TotalNodesIsUnion) {
