@@ -1,7 +1,7 @@
 #include "core/ensemble_model.hpp"
 
 #include <algorithm>
-#include <set>
+#include <vector>
 
 #include "core/efficiency.hpp"
 #include "core/insitu.hpp"
@@ -30,12 +30,17 @@ const EnsembleMemberModel& EnsembleModel::member(std::size_t i) const {
 }
 
 int EnsembleModel::total_nodes() const {
-  std::set<int> nodes;
+  std::vector<int> nodes;
   for (const EnsembleMemberModel& m : members_) {
-    const std::set<int> u = m.placement.node_union();
-    nodes.insert(u.begin(), u.end());
+    const MemberPlacement& p = m.placement;
+    nodes.insert(nodes.end(), p.sim.nodes.begin(), p.sim.nodes.end());
+    for (const ComponentPlacement& a : p.analyses) {
+      nodes.insert(nodes.end(), a.nodes.begin(), a.nodes.end());
+    }
   }
-  return static_cast<int>(nodes.size());
+  std::sort(nodes.begin(), nodes.end());
+  return static_cast<int>(std::unique(nodes.begin(), nodes.end()) -
+                          nodes.begin());
 }
 
 double EnsembleModel::member_efficiency(std::size_t i) const {
@@ -44,15 +49,12 @@ double EnsembleModel::member_efficiency(std::size_t i) const {
 
 std::vector<double> EnsembleModel::member_indicators(
     IndicatorKind kind) const {
-  const int m_nodes = total_nodes();
+  const int m_nodes = total_nodes();  // M, once for every member
   std::vector<double> out;
   out.reserve(members_.size());
-  for (std::size_t i = 0; i < members_.size(); ++i) {
-    MemberIndicatorInputs in;
-    in.efficiency = member_efficiency(i);
-    in.placement = members_[i].placement;
-    in.ensemble_nodes = m_nodes;
-    out.push_back(member_indicator(in, kind));
+  for (const EnsembleMemberModel& m : members_) {
+    out.push_back(member_indicator(computational_efficiency(m.steady),
+                                   m.placement, m_nodes, kind));
   }
   return out;
 }

@@ -51,4 +51,9 @@ double indicator_uap(const MemberIndicatorInputs& in);
 /// Dispatch on the stage chain.
 double member_indicator(const MemberIndicatorInputs& in, IndicatorKind kind);
 
+/// The same from the inputs' parts, so a caller holding a placement need
+/// not copy it into a MemberIndicatorInputs.
+double member_indicator(double efficiency, const MemberPlacement& placement,
+                        int ensemble_nodes, IndicatorKind kind);
+
 }  // namespace wfe::core

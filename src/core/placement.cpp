@@ -12,16 +12,23 @@ int MemberPlacement::total_cores() const {
   return total;
 }
 
-std::set<int> MemberPlacement::node_union() const {
-  std::set<int> all = sim.nodes;
-  for (const ComponentPlacement& a : analyses) {
-    all.insert(a.nodes.begin(), a.nodes.end());
-  }
-  return all;
-}
-
 int MemberPlacement::node_count() const {
-  return static_cast<int>(node_union().size());
+  // The size of the union, counted without building it: a node counts at
+  // the first component that holds it.
+  std::size_t count = sim.nodes.size();
+  for (std::size_t j = 0; j < analyses.size(); ++j) {
+    for (int n : analyses[j].nodes) {
+      const bool earlier =
+          sim.nodes.contains(n) ||
+          std::any_of(analyses.begin(),
+                      analyses.begin() + static_cast<std::ptrdiff_t>(j),
+                      [n](const ComponentPlacement& a) {
+                        return a.nodes.contains(n);
+                      });
+      if (!earlier) ++count;
+    }
+  }
+  return static_cast<int>(count);
 }
 
 void MemberPlacement::validate() const {

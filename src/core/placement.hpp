@@ -27,9 +27,6 @@ struct MemberPlacement {
   /// d_i = | s_i  U  union_j a_i^j |.
   int node_count() const;
 
-  /// The union of all node sets used by this member.
-  std::set<int> node_union() const;
-
   /// Throws wfe::SpecError if any component has no nodes or no cores.
   void validate() const;
 };

@@ -12,22 +12,28 @@ namespace wfe::sched {
 
 namespace {
 
-/// Validate, then replay under `seed` (the scenario's own seed when null).
-/// Infeasible placements are marked, not run; an oversubscribed node, what
-/// most rejected candidates have, is found without building an exception.
+/// Replay under `seed` (the scenario's own seed when null). The replay
+/// validates the spec, once; a spec that fails is marked infeasible and not
+/// run. A spec already at `probe_steps` is replayed without a copy.
 void replay_spec(const rt::EnsembleSpec& spec, const Evaluator& ev,
                  std::uint64_t probe_steps, const std::uint64_t* seed,
                  BatchScore& score) {
-  score.feasible = false;
-  if (spec.oversubscribed_node(ev.platform()) >= 0) return;
   try {
-    spec.validate(ev.platform());
+    score.eval = seed == nullptr ? ev.score(spec, probe_steps)
+                                 : ev.score_seeded(spec, probe_steps, *seed);
+    score.feasible = true;
   } catch (const SpecError&) {
-    return;
+    score.feasible = false;
   }
-  score.feasible = true;
-  score.eval = seed == nullptr ? ev.score(spec, probe_steps)
-                               : ev.score_seeded(spec, probe_steps, *seed);
+}
+
+/// place(shape, assignment) at the probe depth.
+rt::EnsembleSpec probe_spec(const EnsembleShape& shape,
+                            const Assignment& assignment,
+                            std::uint64_t probe_steps) {
+  rt::EnsembleSpec spec = place(shape, assignment);
+  spec.n_steps = probe_steps;
+  return spec;
 }
 
 BatchScore served(const CachedEval& entry) {
@@ -204,10 +210,12 @@ std::vector<BatchScore> BatchEvaluator::score_assignments(
                 "assignment must hold one node per component");
     keys.push_back(keys_.of(plan, a));
   }
+  const CoreDemand demand(shape, evaluators_.front().platform());
   return score_keyed(keys, [&](std::size_t i, const Evaluator& ev,
                                BatchScore& score) {
-    replay_spec(place(shape, assignments[i]), ev, probe_steps, nullptr,
-                score);
+    if (demand.oversubscribed(assignments[i])) return;  // infeasible
+    replay_spec(probe_spec(shape, assignments[i], probe_steps), ev,
+                probe_steps, nullptr, score);
   });
 }
 
@@ -251,9 +259,12 @@ std::vector<BatchScore> BatchEvaluator::score_arm_samples(
     seeds.push_back(seed);
     keys.push_back(Fnv1a::mix(keys_.of(plan, arm), seed));
   }
+  const CoreDemand demand(shape, evaluators_.front().platform());
   return score_keyed(keys, [&](std::size_t i, const Evaluator& ev,
                                BatchScore& score) {
-    replay_spec(place(shape, arms[samples[i].arm]), ev, probe_steps,
+    const Assignment& arm = arms[samples[i].arm];
+    if (demand.oversubscribed(arm)) return;  // infeasible
+    replay_spec(probe_spec(shape, arm, probe_steps), ev, probe_steps,
                 &seeds[i], score);
   });
 }

@@ -15,6 +15,36 @@ std::size_t slot_count(const EnsembleShape& shape) {
   return slots;
 }
 
+CoreDemand::CoreDemand(const EnsembleShape& shape,
+                       const plat::PlatformSpec& platform)
+    : nodes_(platform.node_count),
+      capacity_(static_cast<double>(platform.node.cores)) {
+  cores_.reserve(slot_count(shape));
+  for (const MemberShape& m : shape.members) {
+    cores_.push_back(m.sim.cores);
+    for (const rt::AnalysisSpec& a : m.analyses) cores_.push_back(a.cores);
+  }
+}
+
+bool CoreDemand::oversubscribed(const Assignment& assignment) const {
+  WFE_REQUIRE(assignment.size() == cores_.size(),
+              "assignment must hold one node per component");
+  const auto begin = assignment.begin();
+  for (std::size_t i = 0; i < assignment.size(); ++i) {
+    const int node = assignment[i];
+    if (node < 0 || node >= nodes_) continue;
+    const auto at = begin + static_cast<std::ptrdiff_t>(i);
+    if (std::find(begin, at, node) != at) continue;  // summed at first use
+    // The node's demand in slot order, as EnsembleSpec sums it.
+    double demand = 0.0;
+    for (std::size_t j = i; j < assignment.size(); ++j) {
+      if (assignment[j] == node) demand += static_cast<double>(cores_[j]);
+    }
+    if (demand > capacity_ + 1e-9) return true;
+  }
+  return false;
+}
+
 NodeClasses::NodeClasses(const std::vector<int>& tag)
     : class_of_(tag.size()), rank_(tag.size()) {
   // Classes are numbered in order of their lowest node.

@@ -32,6 +32,23 @@ using Assignment = std::vector<int>;
 /// Components of `shape` = slots of an assignment.
 std::size_t slot_count(const EnsembleShape& shape);
 
+/// The per-node core demand of a shape's assignments, checked without
+/// building their specs: oversubscribed(a) is
+/// place(shape, a).oversubscribed_node(platform) >= 0, summed from the
+/// shape's core counts. Most candidates of a plan fail this check, so the
+/// batch evaluator rejects them before placing them.
+class CoreDemand {
+ public:
+  CoreDemand(const EnsembleShape& shape, const plat::PlatformSpec& platform);
+
+  bool oversubscribed(const Assignment& assignment) const;
+
+ private:
+  std::vector<int> cores_;  // slot -> core count
+  int nodes_ = 0;           // platform nodes; others are left to validation
+  double capacity_ = 0.0;   // cores per node
+};
+
 /// A partition of node ids 0..size()-1 into classes of interchangeable
 /// nodes: swapping two nodes of one class changes neither the replayed
 /// score nor the risk charge of any placement. Classes are numbered by

@@ -46,16 +46,14 @@ Evaluation Evaluator::score_seeded(const rt::EnsembleSpec& spec,
                                    std::uint64_t seed) const {
   WFE_REQUIRE(probe_steps >= 2, "probes need at least two steps");
 
-  rt::EnsembleSpec adjusted;
-  const rt::EnsembleSpec* probe = &spec;
   if (spec.n_steps != probe_steps) {
-    adjusted = spec;  // copy only for the n_steps override
-    adjusted.n_steps = probe_steps;
-    probe = &adjusted;
+    rt::EnsembleSpec probe = spec;  // copy only for the n_steps override
+    probe.n_steps = probe_steps;
+    return score_seeded(probe, probe_steps, seed);
   }
-  const rt::ExecutionResult result = exec_.run_seeded(*probe, seed);
+  const rt::ExecutionResult result = exec_.run_seeded(spec, seed);
   events_ += result.events_processed;
-  const rt::Assessment a = rt::assess(*probe, result);
+  const rt::Assessment a = rt::assess(spec, result);
   ++evaluations_;
 
   Evaluation out;

@@ -33,16 +33,24 @@ double stddev_sample(std::span<const double> xs) {
 double median(std::span<const double> xs) { return quantile(xs, 0.5); }
 
 double quantile(std::span<const double> xs, double q) {
+  std::vector<double> copy(xs.begin(), xs.end());
+  return quantile_in_place(copy, q);
+}
+
+double quantile_in_place(std::span<double> xs, double q) {
   WFE_REQUIRE(q >= 0.0 && q <= 1.0, "quantile q must be in [0, 1]");
   if (xs.empty()) return 0.0;
-  std::vector<double> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
-  if (sorted.size() == 1) return sorted.front();
-  const double pos = q * static_cast<double>(sorted.size() - 1);
+  if (xs.size() == 1) return xs.front();
+  const double pos = q * static_cast<double>(xs.size() - 1);
   const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  const std::size_t hi = std::min(lo + 1, xs.size() - 1);
   const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+  // The lo-th and hi-th order statistics, as a full sort would place them.
+  const auto at_lo = xs.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(xs.begin(), at_lo, xs.end());
+  const double below = *at_lo;
+  const double above = hi == lo ? below : *std::min_element(at_lo + 1, xs.end());
+  return below * (1.0 - frac) + above * frac;
 }
 
 Summary summarize(std::span<const double> xs) {

@@ -34,6 +34,10 @@ double median(std::span<const double> xs);
 /// Linear-interpolated quantile, q in [0, 1]; 0 if empty.
 double quantile(std::span<const double> xs, double q);
 
+/// quantile() without the copy: the same value, found by partitioning
+/// `xs` in place (their order is unspecified afterwards).
+double quantile_in_place(std::span<double> xs, double q);
+
 /// Full summary in one pass over a copy of the data.
 Summary summarize(std::span<const double> xs);
 

@@ -8,6 +8,10 @@
 // fault injection, obs emission, or exporter formatting shows up here as a
 // normalized first-difference diff.
 //
+// A third artifact pins what the paper derives from each replay: the
+// assessment (steady state, efficiency, indicators, objective, makespans),
+// every double as its bits, in tests/golden/data/<scenario>.assess.
+//
 // The harness also pins the zero-observer-effect guarantee: a run executed
 // with a recorder session installed must produce a stage trace
 // byte-identical to the same run executed untraced.
@@ -17,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -27,6 +32,7 @@
 #include "metrics/trace_io.hpp"
 #include "obs/export.hpp"
 #include "obs/recorder.hpp"
+#include "runtime/bridge.hpp"
 #include "runtime/simulated_executor.hpp"
 #include "support/error.hpp"
 #include "support/json.hpp"
@@ -166,6 +172,64 @@ TEST_P(GoldenTrace, StageTraceMatchesGolden) {
   const rt::ExecutionResult result = run_scenario(sc, false, nullptr);
   const std::string actual = met::trace_to_text(result.trace);
   const fs::path path = golden_path(std::string(sc.name) + ".wfet");
+  if (update_mode()) {
+    write_file(path, actual);
+    GTEST_SKIP() << "updated " << path;
+  }
+  expect_bytes_equal(read_file(path), actual, path.filename().string());
+}
+
+/// The assessment of a replay as text, one value a line: its name, its
+/// bits in hex and its decimal value; or the message of the error it
+/// throws.
+std::string assessment_text(const rt::EnsembleSpec& spec,
+                            const rt::ExecutionResult& result) {
+  std::string out;
+  const auto line = [&out](const std::string& name, double v) {
+    out += strprintf("%s %016llx %.17g\n", name.c_str(),
+                     static_cast<unsigned long long>(
+                         std::bit_cast<std::uint64_t>(v)),
+                     v);
+  };
+  try {
+    const rt::Assessment a = rt::assess(spec, result);
+    for (const core::IndicatorKind kind :
+         {core::IndicatorKind::kU, core::IndicatorKind::kUA,
+          core::IndicatorKind::kUP, core::IndicatorKind::kUAP,
+          core::IndicatorKind::kUPA}) {
+      line(std::string("objective ") + core::to_string(kind),
+           a.objective(kind));
+    }
+    out += strprintf("total_nodes %d\n", a.total_nodes);
+    line("ensemble_makespan", a.ensemble_makespan_measured);
+    for (std::size_t i = 0; i < a.members.size(); ++i) {
+      const rt::MemberAssessment& m = a.members[i];
+      const std::string p = strprintf("member%zu ", i);
+      line(p + "S*", m.steady.sim.s);
+      line(p + "W*", m.steady.sim.w);
+      for (std::size_t j = 0; j < m.steady.analyses.size(); ++j) {
+        line(p + strprintf("R*%zu", j), m.steady.analyses[j].r);
+        line(p + strprintf("A*%zu", j), m.steady.analyses[j].a);
+      }
+      line(p + "E", m.efficiency);
+      line(p + "sigma", m.sigma);
+      line(p + "makespan", m.makespan_measured);
+      line(p + "makespan_model", m.makespan_model);
+    }
+  } catch (const Error& e) {
+    out += std::string("throws ") + e.what() + "\n";
+  }
+  return out;
+}
+
+// The assessment of the replay must match its golden bit for bit: the
+// stage-trace golden pins the replay, this one pins what the paper's
+// pipeline derives from it.
+TEST_P(GoldenTrace, AssessmentMatchesGolden) {
+  const Scenario& sc = GetParam();
+  const rt::ExecutionResult result = run_scenario(sc, false, nullptr);
+  const std::string actual = assessment_text(scenario_spec(sc), result);
+  const fs::path path = golden_path(std::string(sc.name) + ".assess");
   if (update_mode()) {
     write_file(path, actual);
     GTEST_SKIP() << "updated " << path;

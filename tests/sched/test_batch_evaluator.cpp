@@ -74,6 +74,51 @@ TEST(Candidates, NeighborsAreSingleSlotMoves) {
   }
 }
 
+TEST(Candidates, CoreDemandMatchesThePlacedSpecsCheck) {
+  // A shape whose components all differ in core count, besides the paper
+  // shapes of the benchmark plans.
+  EnsembleShape mixed = EnsembleShape::paper_like(3, 2);
+  const int sim_cores[] = {20, 12, 6};
+  const int ana_cores[] = {4, 12, 10, 3, 26, 1};
+  for (std::size_t m = 0; m < 3; ++m) {
+    mixed.members[m].sim.cores = sim_cores[m];
+    for (std::size_t j = 0; j < 2; ++j) {
+      mixed.members[m].analyses[j].cores = ana_cores[2 * m + j];
+    }
+  }
+  struct Case {
+    EnsembleShape shape;
+    int pool;
+  };
+  const Case cases[] = {{EnsembleShape::paper_like(3, 2), 5},
+                        {EnsembleShape::paper_like(4, 1), 4},
+                        {EnsembleShape::paper_like(2, 2), 4},
+                        {mixed, 4}};
+  const plat::PlatformSpec small = [] {
+    plat::PlatformSpec p = platform();
+    p.node_count = 3;  // the pools above reach past it: left to validation
+    return p;
+  }();
+  std::size_t over = 0, fits = 0;
+  for (const Case& c : cases) {
+    for (const plat::PlatformSpec& p : {platform(), small}) {
+      const CoreDemand demand(c.shape, p);
+      std::vector<Assignment> all =
+          enumerate_assignments(slot_count(c.shape), c.pool);
+      Assignment outside(slot_count(c.shape), 0);
+      outside.back() = -1;
+      all.push_back(outside);
+      for (const Assignment& a : all) {
+        const bool want = place(c.shape, a).oversubscribed_node(p) >= 0;
+        EXPECT_EQ(demand.oversubscribed(a), want);
+        ++(want ? over : fits);
+      }
+    }
+  }
+  EXPECT_GT(over, 10000u);
+  EXPECT_GT(fits, 5000u);
+}
+
 TEST(Candidates, PickWinnerPrefersObjectiveThenLexOrder) {
   const std::vector<Assignment> cands = {{0, 1, 1}, {0, 0, 1}, {0, 1, 2}};
   // Tie on objective between index 1 and 2 -> lex-smaller {0,0,1} wins.

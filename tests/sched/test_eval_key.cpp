@@ -279,6 +279,14 @@ TEST_F(KeyLayout, KeysCarryTheModelDigest) {
   EXPECT_EQ(out.front()->eval.objective, scores[0].eval.objective);
 }
 
+TEST(ModelDigest, IsPinnedSoCacheFilesOutliveARefactor) {
+  // Persisted scores are keyed under this digest (the canary replay's
+  // stages, its objective and its makespan). A refactor of the replay or
+  // the assessment must leave it as it is, or every cache file on disk
+  // stops serving; only a deliberate model change updates this value.
+  EXPECT_EQ(model_digest(), 0x10dcd3dfccc7ff36u);
+}
+
 TEST(ModelDigest, IsStableAndMovesNoEvaluatorCounter) {
   const std::uint64_t digest = model_digest();
   EXPECT_NE(digest, 0u);

@@ -2,8 +2,9 @@
 # Regenerate the checked-in golden traces under tests/golden/data/.
 #
 # Run this after an *intentional* change to the executor model, the fault
-# layer, the obs emission sites, or the exporter formatting — then review
-# the golden diff like any other code change before committing it.
+# layer, the assessment (steady state, indicators, objective, makespans),
+# the obs emission sites, or the exporter formatting — then review the
+# golden diff like any other code change before committing it.
 #
 # Usage: tools/update_golden.sh [build-dir]   (default: ./build)
 set -eu
