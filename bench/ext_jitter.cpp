@@ -9,58 +9,36 @@
 // noise-robust.
 #include "bench_common.hpp"
 
-#include "support/stats.hpp"
+#include "workload/campaign.hpp"
 
 int main() {
   using namespace wfe;
-  using core::IndicatorKind;
   bench::print_banner(
       "Extension: indicator robustness under measurement noise",
       "Lognormal jitter (CV 5%) on every stage duration, 15 seeded trials\n"
       "per Table 2 configuration. F(P^{U,A,P}) mean +- stddev and the\n"
       "fraction of trials won by each configuration.");
 
-  constexpr int kTrials = 15;
-  constexpr double kCv = 0.05;
-  const auto set = wl::paper_set1();
-
-  std::map<std::string, std::vector<double>> f_values;
-  std::map<std::string, int> wins;
-  for (int trial = 0; trial < kTrials; ++trial) {
-    rt::SimulatedOptions options;
-    options.jitter_cv = kCv;
-    options.seed = 1000 + static_cast<std::uint64_t>(trial);
-    rt::SimulatedExecutor exec(wl::cori_like_platform(), options);
-
-    std::string best;
-    double best_f = -1e18;
-    for (const auto& c : set) {
-      auto spec = c.spec;
-      spec.n_steps = 12;
-      const auto a = rt::assess(spec, exec.run(spec));
-      const double f = a.objective(IndicatorKind::kUAP);
-      f_values[c.name].push_back(f);
-      if (f > best_f) {
-        best_f = f;
-        best = c.name;
-      }
-    }
-    ++wins[best];
-  }
+  wl::CampaignOptions options;
+  options.trials = 15;
+  options.jitter_cv = 0.05;
+  options.base_seed = 1000;
+  options.n_steps = 12;
+  const auto stats =
+      wl::run_campaign(wl::paper_set1(), wl::cori_like_platform(), options);
 
   Table table({"config", "F(P^{U,A,P}) mean", "stddev", "min", "max",
                "trials won"});
-  for (const auto& c : set) {
-    const auto& fs = f_values[c.name];
-    const Summary s = summarize(fs);
-    table.add_row({c.name, sci(s.mean, 3), sci(s.stddev, 2), sci(s.min, 3),
-                   sci(s.max, 3),
-                   strprintf("%d/%d", wins[c.name], kTrials)});
+  for (const auto& s : stats) {
+    const Summary& f = s.objective;
+    table.add_row({s.name, sci(f.mean, 3), sci(f.stddev, 2), sci(f.min, 3),
+                   sci(f.max, 3),
+                   strprintf("%d/%d", s.wins, options.trials)});
   }
   std::cout << table.render();
   std::cout << "\nDeterministic reference (jitter off): F(C1.5) = "
             << sci(bench::run_set({wl::paper_config("C1.5")})[0]
-                       .assessment.objective(IndicatorKind::kUAP),
+                       .assessment.objective(core::IndicatorKind::kUAP),
                    3)
             << "\n";
   return 0;

@@ -11,14 +11,12 @@ namespace wfe::obs {
 #if !defined(WFENS_OBS_DISABLED)
 namespace detail {
 std::atomic<Recorder*> g_current{nullptr};
-std::atomic<bool> g_runtime_enabled{true};
 }  // namespace detail
 #else
 namespace detail {
 // Compiled-out builds still support sessions (tools construct them
 // unconditionally); only the emission sites vanish.
 static std::atomic<Recorder*> g_current{nullptr};
-static std::atomic<bool> g_runtime_enabled{true};
 }  // namespace detail
 #endif
 
@@ -128,14 +126,6 @@ RunLog Recorder::take() {
 
 Recorder* current() {
   return detail::g_current.load(std::memory_order_acquire);
-}
-
-void set_runtime_enabled(bool on) {
-  detail::g_runtime_enabled.store(on, std::memory_order_relaxed);
-}
-
-bool runtime_enabled() {
-  return detail::g_runtime_enabled.load(std::memory_order_relaxed);
 }
 
 Session::Session(Recorder& recorder) {

@@ -132,11 +132,6 @@ class Recorder {
 /// clock) may use it directly while a session is active.
 Recorder* current();
 
-/// Runtime toggle: when false, emission helpers are inert even with a
-/// session installed. Defaults to true.
-void set_runtime_enabled(bool on);
-bool runtime_enabled();
-
 /// Installs `recorder` as the process-wide session for its lifetime.
 /// Sessions do not nest: installing a second one throws
 /// wfe::InvalidArgument. Destruction uninstalls.
@@ -166,41 +161,35 @@ inline constexpr bool kCompiledIn = true;
 
 namespace detail {
 extern std::atomic<Recorder*> g_current;
-extern std::atomic<bool> g_runtime_enabled;
 }  // namespace detail
 
-/// True when a session is installed and the runtime toggle is on: one
-/// relaxed load on the hot path (instrumented code caches this per run).
+/// True when a session is installed: one load on the hot path
+/// (instrumented code caches this per run).
 inline bool enabled() {
-  return detail::g_current.load(std::memory_order_acquire) != nullptr &&
-         detail::g_runtime_enabled.load(std::memory_order_relaxed);
+  return detail::g_current.load(std::memory_order_acquire) != nullptr;
 }
 
 inline void span(std::string_view track, std::string_view name, double start,
                  double end) {
-  if (Recorder* r = detail::g_current.load(std::memory_order_acquire);
-      r != nullptr && detail::g_runtime_enabled.load(std::memory_order_relaxed)) {
+  if (Recorder* r = detail::g_current.load(std::memory_order_acquire)) {
     r->span(track, name, start, end);
   }
 }
 
 inline void instant(std::string_view track, std::string_view name, double at) {
-  if (Recorder* r = detail::g_current.load(std::memory_order_acquire);
-      r != nullptr && detail::g_runtime_enabled.load(std::memory_order_relaxed)) {
+  if (Recorder* r = detail::g_current.load(std::memory_order_acquire)) {
     r->instant(track, name, at);
   }
 }
 
 inline void add_counter(std::string_view name, double at, double delta) {
-  if (Recorder* r = detail::g_current.load(std::memory_order_acquire);
-      r != nullptr && detail::g_runtime_enabled.load(std::memory_order_relaxed)) {
+  if (Recorder* r = detail::g_current.load(std::memory_order_acquire)) {
     r->add_counter(name, at, delta);
   }
 }
 
 inline void set_counter(std::string_view name, double at, double value) {
-  if (Recorder* r = detail::g_current.load(std::memory_order_acquire);
-      r != nullptr && detail::g_runtime_enabled.load(std::memory_order_relaxed)) {
+  if (Recorder* r = detail::g_current.load(std::memory_order_acquire)) {
     r->set_counter(name, at, value);
   }
 }

@@ -8,25 +8,12 @@
 
 namespace wfe::sched {
 
-namespace {
-
-std::vector<int> component_cores(const EnsembleShape& shape) {
-  std::vector<int> cores;
-  for (const MemberShape& m : shape.members) {
-    cores.push_back(m.sim.cores);
-    for (const auto& a : m.analyses) cores.push_back(a.cores);
-  }
-  return cores;
-}
-
-}  // namespace
-
 Schedule RoundRobin::plan(const EnsembleShape& shape,
                           const plat::PlatformSpec& platform,
                           const ResourceBudget& budget,
                           const PlanOptions& /*options*/) const {
   check_budget(shape, platform, budget);
-  const std::vector<int> cores = component_cores(shape);
+  const std::vector<int> cores = slot_cores(shape);
   std::vector<int> free(static_cast<std::size_t>(budget.node_pool),
                         platform.node.cores);
   std::vector<int> assignment;
@@ -58,25 +45,21 @@ Schedule RandomPlacement::plan(const EnsembleShape& shape,
                                const ResourceBudget& budget,
                                const PlanOptions& /*options*/) const {
   check_budget(shape, platform, budget);
-  const std::size_t slots = slot_count(shape);
+  const CoreDemand demand(shape, platform);
   Xoshiro256 rng(seed_);
   // Candidate generator + first-feasible selection: attempts are drawn in
-  // a fixed seed-determined order, so the outcome is reproducible.
+  // a fixed seed-determined order, so the outcome is reproducible. Only
+  // the draw that fits is placed.
+  Assignment assignment(slot_count(shape));
   for (int attempt = 0; attempt < max_attempts_; ++attempt) {
-    std::vector<int> assignment(slots);
     for (auto& node : assignment) {
       node = static_cast<int>(
           rng.below(static_cast<std::uint64_t>(budget.node_pool)));
     }
-    rt::EnsembleSpec spec = place(shape, assignment);
-    if (spec.oversubscribed_node(platform) >= 0) continue;
-    try {
-      spec.validate(platform);
-    } catch (const SpecError&) {
-      continue;
-    }
+    if (demand.oversubscribed(assignment)) continue;
     Schedule schedule;
-    schedule.spec = std::move(spec);
+    schedule.spec = place(shape, assignment);
+    schedule.spec.validate(platform);
     schedule.scheduler = name();
     return schedule;
   }

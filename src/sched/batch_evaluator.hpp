@@ -115,8 +115,8 @@ class BatchEvaluator {
   /// Engine events dispatched across all replays (throughput metric).
   std::uint64_t events_processed() const;
 
-  /// Attach a shared evaluation store (campaign runs pass
-  /// EvalCache::process()). Misses of the local memo consult it before
+  /// Attach a shared evaluation store (campaign runs pass the one they
+  /// load and save). Misses of the local memo consult it before
   /// simulating and fresh scores are published back, so placements scored
   /// by any evaluator — including one in a previous process, via
   /// EvalCache::load — are never re-simulated. Pass nullptr to detach.

@@ -15,16 +15,21 @@ std::size_t slot_count(const EnsembleShape& shape) {
   return slots;
 }
 
+std::vector<int> slot_cores(const EnsembleShape& shape) {
+  std::vector<int> cores;
+  cores.reserve(slot_count(shape));
+  for (const MemberShape& m : shape.members) {
+    cores.push_back(m.sim.cores);
+    for (const rt::AnalysisSpec& a : m.analyses) cores.push_back(a.cores);
+  }
+  return cores;
+}
+
 CoreDemand::CoreDemand(const EnsembleShape& shape,
                        const plat::PlatformSpec& platform)
-    : nodes_(platform.node_count),
-      capacity_(static_cast<double>(platform.node.cores)) {
-  cores_.reserve(slot_count(shape));
-  for (const MemberShape& m : shape.members) {
-    cores_.push_back(m.sim.cores);
-    for (const rt::AnalysisSpec& a : m.analyses) cores_.push_back(a.cores);
-  }
-}
+    : cores_(slot_cores(shape)),
+      nodes_(platform.node_count),
+      capacity_(static_cast<double>(platform.node.cores)) {}
 
 bool CoreDemand::oversubscribed(const Assignment& assignment) const {
   WFE_REQUIRE(assignment.size() == cores_.size(),

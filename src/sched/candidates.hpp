@@ -32,6 +32,9 @@ using Assignment = std::vector<int>;
 /// Components of `shape` = slots of an assignment.
 std::size_t slot_count(const EnsembleShape& shape);
 
+/// The core count of each slot of `shape`, in slot order.
+std::vector<int> slot_cores(const EnsembleShape& shape);
+
 /// The per-node core demand of a shape's assignments, checked without
 /// building their specs: oversubscribed(a) is
 /// place(shape, a).oversubscribed_node(platform) >= 0, summed from the

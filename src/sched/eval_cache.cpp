@@ -204,9 +204,4 @@ std::size_t EvalCache::save(const std::string& path) const {
   return records.size();
 }
 
-EvalCache& EvalCache::process() {
-  static EvalCache instance;
-  return instance;
-}
-
 }  // namespace wfe::sched

@@ -1,4 +1,4 @@
-// EvalCache: a process-wide, optionally disk-persisted store of placement
+// EvalCache: a shared, optionally disk-persisted store of placement
 // evaluations.
 //
 // BatchEvaluator's memo-cache deduplicates within one evaluator's
@@ -84,9 +84,6 @@ class EvalCache {
   /// Write every entry to `path` (sorted by key, tmp+rename). Returns the
   /// number of entries written. Throws wfe::Error when unwritable.
   std::size_t save(const std::string& path) const;
-
-  /// The process-wide instance shared by campaign runs.
-  static EvalCache& process();
 
  private:
   using Mutex = support::RankedMutex<support::kRankEvalCache>;

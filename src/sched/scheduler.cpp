@@ -2,6 +2,7 @@
 
 #include "sched/bai.hpp"
 #include "sched/baselines.hpp"
+#include "sched/candidates.hpp"
 #include "sched/exhaustive.hpp"
 #include "sched/greedy.hpp"
 #include "sched/greedy_refine.hpp"
@@ -59,9 +60,7 @@ void check_budget(const EnsembleShape& shape,
 
 rt::EnsembleSpec place(const EnsembleShape& shape,
                        const std::vector<int>& assignment) {
-  std::size_t slots = 0;
-  for (const MemberShape& m : shape.members) slots += 1 + m.analyses.size();
-  WFE_REQUIRE(assignment.size() == slots,
+  WFE_REQUIRE(assignment.size() == slot_count(shape),
               "assignment must hold one node per component");
 
   rt::EnsembleSpec spec;

@@ -86,10 +86,10 @@ struct PlanOptions {
   std::uint64_t max_samples = 0;
 
   /// Optional shared evaluation store consulted before any fresh probe
-  /// replay and fed every fresh score (see EvalCache). Campaign and
-  /// service callers pass EvalCache::process() so placements scored by any
-  /// scheduler — or any previous process via EvalCache::load — are never
-  /// re-simulated. Never changes a planned placement, only what it costs.
+  /// replay and fed every fresh score (see EvalCache). Callers that plan
+  /// many times pass one store, so placements scored by any scheduler — or
+  /// any previous process via EvalCache::load — are never re-simulated.
+  /// Never changes a planned placement, only what it costs.
   EvalCache* shared_cache = nullptr;
 
   /// Scenario the probe replays price (replay-guided schedulers only):

@@ -3,12 +3,14 @@
 // cross-cutting invariants hold for both.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "core/insitu.hpp"
 #include "metrics/traditional.hpp"
 #include "runtime/bridge.hpp"
 #include "runtime/native_executor.hpp"
 #include "runtime/simulated_executor.hpp"
-#include "workload/generators.hpp"
+#include "sched/exhaustive.hpp"
 #include "workload/paper_configs.hpp"
 #include "workload/presets.hpp"
 
@@ -70,32 +72,19 @@ TEST(Pipeline, EnsembleMakespanIsMaxMemberEverywhere) {
 }
 
 TEST(Pipeline, PlacementSearchFindsCoLocationOptimal) {
-  // The paper's future-work use case: enumerate every placement of the
-  // 2-member ensemble on 3 nodes and rank by F(P^{U,A,P}); the winner
-  // must be a fully co-located assignment (CP = 1 for every member),
-  // which is exactly C1.5's shape.
+  // The paper's future-work use case: score every placement of the
+  // 2-member ensemble on 3 nodes by F(P^{U,A,P}); the winner must be a
+  // fully co-located assignment (CP = 1 for every member), which is
+  // exactly C1.5's shape.
   const auto platform = wl::cori_like_platform();
-  rt::SimulatedExecutor exec(platform);
-  wl::EnumerationOptions opt;
-  opt.members = 2;
-  opt.analyses_per_member = 1;
-  opt.node_pool = 3;
-  const auto candidates = wl::enumerate_placements(platform, opt);
-  ASSERT_GT(candidates.size(), 5u);
-
-  std::string best_name;
-  double best_f = -1e18;
-  for (const auto& c : candidates) {
-    auto spec = c.spec;
-    spec.n_steps = 6;  // keep the sweep fast; steady state is immediate
-    const auto a = rt::assess(spec, exec.run(spec));
-    const double f = a.objective(core::IndicatorKind::kUAP);
-    if (f > best_f) {
-      best_f = f;
-      best_name = c.name;
-    }
-  }
-  EXPECT_EQ(best_name, "s0a0|s1a1");  // C1.5's canonical shape
+  const auto shape = sched::EnsembleShape::paper_like(2, 1);
+  const sched::Schedule best = sched::Exhaustive().plan(shape, platform, {3});
+  EXPECT_GT(best.evaluations, 5u);
+  // C1.5's canonical shape, s0a0|s1a1.
+  EXPECT_EQ(best.spec.members[0].sim.nodes, (std::set<int>{0}));
+  EXPECT_EQ(best.spec.members[0].analyses[0].nodes, (std::set<int>{0}));
+  EXPECT_EQ(best.spec.members[1].sim.nodes, (std::set<int>{1}));
+  EXPECT_EQ(best.spec.members[1].analyses[0].nodes, (std::set<int>{1}));
 }
 
 TEST(Pipeline, StageAccountingCoversTheWholeTimeline) {

@@ -191,21 +191,6 @@ TEST(Session, FreeFunctionsFeedTheInstalledRecorder) {
   EXPECT_TRUE(log.spans_on("t").size() == 1u);
 }
 
-TEST(Session, RuntimeToggleSuppressesEmission) {
-  if (!kCompiledIn) GTEST_SKIP() << "observability compiled out";
-  Recorder rec;
-  Session session(rec);
-  set_runtime_enabled(false);
-  EXPECT_FALSE(enabled());
-  span("t", "hidden", 0.0, 1.0);
-  set_runtime_enabled(true);
-  EXPECT_TRUE(enabled());
-  span("t", "visible", 1.0, 2.0);
-  const RunLog log = rec.take();
-  ASSERT_EQ(log.size(), 1u);
-  EXPECT_EQ(log.str(log.events[0].name), "visible");
-}
-
 TEST(Session, NowWithoutSessionIsZero) {
   EXPECT_EQ(now_s(), 0.0);
   Recorder rec;

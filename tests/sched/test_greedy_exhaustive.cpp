@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "sched/baselines.hpp"
 #include "sched/candidates.hpp"
@@ -150,6 +151,30 @@ TEST(RandomPlacement, DeterministicGivenSeed) {
   EXPECT_EQ(a.spec.members[0].sim.nodes, b.spec.members[0].sim.nodes);
   EXPECT_EQ(a.spec.members[1].analyses[0].nodes,
             b.spec.members[1].analyses[0].nodes);
+}
+
+TEST(RandomPlacement, DefaultSeedPicks) {
+  // The first draw that fits, in slot order [m0.sim, m0.ana0, ...].
+  struct Case {
+    int members, analyses, pool;
+    std::vector<int> placement;
+  };
+  const Case cases[] = {{2, 1, 3, {2, 1, 1, 2}},
+                        {2, 2, 4, {1, 1, 2, 0, 2, 2}},
+                        {4, 1, 3, {2, 2, 1, 0, 1, 0, 0, 2}},
+                        {3, 2, 5, {3, 3, 1, 1, 2, 0, 4, 2, 0}}};
+  for (const Case& c : cases) {
+    const Schedule s = RandomPlacement().plan(
+        EnsembleShape::paper_like(c.members, c.analyses), platform(),
+        {c.pool});
+    std::vector<int> placement;
+    for (const auto& m : s.spec.members) {
+      placement.push_back(*m.sim.nodes.begin());
+      for (const auto& a : m.analyses) placement.push_back(*a.nodes.begin());
+    }
+    EXPECT_EQ(placement, c.placement)
+        << c.members << "x" << c.analyses << "/" << c.pool;
+  }
 }
 
 TEST(Evaluator, CountsAndScores) {

@@ -7,7 +7,7 @@
 //
 // Each unit (Table 2, Table 4, the C1.x figure sweep — see --list) is
 // scored by a sched::BatchEvaluator fanning replays over an
-// exec::ThreadPool. With --cache PATH all units share one process-wide
+// exec::ThreadPool. With --cache PATH all units share one
 // sched::EvalCache, loaded from and saved back to PATH, so a repeated
 // campaign regeneration — same platform fingerprint, same demand digest —
 // re-simulates nothing. A PATH this build cannot read (foreign, newer
@@ -111,10 +111,11 @@ int main(int argc, char** argv) {
       units = std::move(selected);
     }
 
+    sched::EvalCache cache;
     sched::EvalCache* shared = nullptr;
     bool save_cache = false;  // false when the file could not be read
     if (!cache_path.empty()) {
-      shared = &sched::EvalCache::process();
+      shared = &cache;
       try {
         const std::size_t loaded = shared->load(cache_path);
         std::cout << "cache: " << cache_path << " (" << loaded
